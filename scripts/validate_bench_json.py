@@ -57,6 +57,16 @@ EXPECTED_SCENARIOS = [
     "power_100nm", "power_35nm", "pareto_100nm", "pareto_35nm",
 ]
 
+# Scenarios that run MNA ring transients, and the obs::Registry counters
+# each must report (rlc_spice publishes them; rejected_steps is omitted
+# because a run with no rejected step drops the zero from the delta).
+MNA_SCENARIOS = {"fig9_10", "fig11", "fig12"}
+MNA_COUNTERS = (
+    "spice.transient.steps", "spice.transient.newton_iters",
+    "linalg.lu.full_factorizations", "linalg.lu.refactorizations",
+    "linalg.lu.refactor_columns",
+)
+
 errors = []
 
 
@@ -168,6 +178,12 @@ def check_observability(name, o):
             err(name, f"span {span!r} with non-positive count")
     if o["tracing"] and not o["spans"]:
         err(name, "tracing was on but the span rollup is empty")
+    if name in MNA_SCENARIOS:
+        # Presence only: under --all the deltas include concurrent
+        # scenarios, so cross-counter ratios are not exact here.
+        for key in MNA_COUNTERS:
+            if not m["counters"].get(key, 0) > 0:
+                err(name, f"MNA counter {key!r} missing or zero")
 
 
 def check_telemetry(name, t):

@@ -1,5 +1,6 @@
 #include "rlc/linalg/sparse_lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -153,18 +154,28 @@ SparseLU::SparseLU(const CscMatrix& A, double pivot_tol) {
   // coordinates for the numeric-only refactorization path.
   l_rowidx_orig_ = l_rowidx_;
   for (auto& r : l_rowidx_) r = pinv_[r];
+  work_.assign(n, 0.0);
+  stale_col_ = n;
 }
 
-bool SparseLU::refactor(const CscMatrix& A, double pivot_floor) {
+bool SparseLU::refactor(const CscMatrix& A, int first_col,
+                        double pivot_floor) {
   if (A.rows() != n_ || A.cols() != n_) {
     throw std::invalid_argument("SparseLU::refactor: size mismatch");
   }
+  if (first_col < 0 || first_col > n_) {
+    throw std::invalid_argument("SparseLU::refactor: first_col out of range");
+  }
+  const int k0 = std::min(first_col, stale_col_);
   const auto& ap = A.col_ptr();
   const auto& ai = A.row_idx();
   const auto& ax = A.values();
-  std::vector<double> x(n_, 0.0);
-  std::size_t lpos = 0, upos = 0;
-  for (int k = 0; k < n_; ++k) {
+  std::vector<double>& x = work_;
+  // L and U store their columns contiguously in column order, so column
+  // k0's entries start where the column pointers say.
+  std::size_t lpos = l_colptr_[k0], upos = u_colptr_[k0];
+  stale_col_ = k0;  // until the loop completes
+  for (int k = k0; k < n_; ++k) {
     // Scatter A(:,k) over the cached pattern.
     for (int p = pat_ptr_[k]; p < pat_ptr_[k + 1]; ++p) x[pat_idx_[p]] = 0.0;
     for (int p = ap[k]; p < ap[k + 1]; ++p) x[ai[p]] = ax[p];
@@ -203,14 +214,22 @@ bool SparseLU::refactor(const CscMatrix& A, double pivot_floor) {
       if (pinv_[i] > k) l_values_[lpos++] = x[i] / pivot;
     }
   }
+  stale_col_ = n_;
   return true;
 }
 
 std::vector<double> SparseLU::solve(const std::vector<double>& b) const {
+  std::vector<double> x;
+  solve(b, x);
+  return x;
+}
+
+void SparseLU::solve(const std::vector<double>& b,
+                     std::vector<double>& x) const {
   if (static_cast<int>(b.size()) != n_) {
     throw std::invalid_argument("SparseLU::solve: size mismatch");
   }
-  std::vector<double> x(n_, 0.0);
+  x.resize(n_);
   // Row permutation: x[pinv[i]] = b[i].
   for (int i = 0; i < n_; ++i) x[pinv_[i]] = b[i];
   // Forward substitution, L unit lower triangular (diagonal stored first).
@@ -231,7 +250,6 @@ std::vector<double> SparseLU::solve(const std::vector<double>& b) const {
       x[u_rowidx_[p]] -= u_values_[p] * xj;
     }
   }
-  return x;
 }
 
 }  // namespace rlc::linalg

@@ -112,18 +112,48 @@ ScenarioResult fig11(const ScenarioSpec& spec, ScenarioContext& ctx) {
     series[1].ls = {0.2e-6, 5.0e-6};
   }
 
+  // Every ring point of both series, plus the buffered-line control, is an
+  // independent transient: submit them to the pool as ONE batch (so the
+  // control and the 250 nm series fill the waves the 100 nm series leaves
+  // idle), then tabulate in grid order.
+  struct Job {
+    int series = -1;  ///< index into `series`; -1 = buffered-line control
+    double l = 0.0;
+  };
+  struct Outcome {
+    RingResult ring;
+    double transition_ratio = 0.0;
+  };
+  std::vector<Job> jobs;
+  for (int si = 0; si < 2; ++si) {
+    for (const double l : series[si].ls) jobs.push_back({si, l});
+  }
+  if (!spec.quick) jobs.push_back({-1, 2.6e-6});
+  const auto outcomes =
+      rlc::exec::parallel_map(ctx.pool_ref(), jobs, [&](const Job& job) {
+        const rlc::exec::StopWatch sw;
+        Outcome o;
+        if (job.series >= 0) {
+          const auto& tech = series[job.series].tech;
+          const auto rc = rlc::core::rc_optimum(tech);
+          o.ring = simulate_ring(tech, ring_params(spec, job.l, rc.h, rc.k));
+        } else {
+          // Control: square-wave-driven 5-stage buffered line past the
+          // collapse — shows the false switching is not a ring artifact.
+          const auto tech = Technology::nm100();
+          const auto rc = rlc::core::rc_optimum(tech);
+          o.transition_ratio =
+              simulate_buffered_line(tech, ring_params(spec, job.l, rc.h, rc.k),
+                                     30.0 * rc.tau, 5)
+                  .transition_ratio;
+        }
+        if (ctx.counters) ctx.counters->record_wall(sw.seconds());
+        return o;
+      });
+
+  std::size_t next = 0;
   for (auto& s : series) {
     const auto rc = rlc::core::rc_optimum(s.tech);
-    // Each inductance point is an independent ring transient: fan them out
-    // over the pool, then tabulate in grid order.
-    const auto results =
-        rlc::exec::parallel_map(ctx.pool_ref(), s.ls, [&](double l) {
-          const rlc::exec::StopWatch sw;
-          auto r = simulate_ring(s.tech, ring_params(spec, l, rc.h, rc.k));
-          if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-          return r;
-        });
-
     char title[96];
     std::snprintf(title, sizeof title,
                   "%s ring period vs l (h = h_optRC = %.2f mm, k = %.0f)",
@@ -132,7 +162,7 @@ ScenarioResult fig11(const ScenarioSpec& spec, ScenarioContext& ctx) {
                     "in undershoot (V)", "collapse"});
     double prev_period = -1.0;
     for (std::size_t i = 0; i < s.ls.size(); ++i) {
-      const auto& r = results[i];
+      const auto& r = outcomes[next++].ring;
       const double period = r.completed ? r.period.value_or(-1.0) : -1.0;
       const bool collapse =
           prev_period > 0.0 && period > 0.0 && period < 0.6 * prev_period;
@@ -149,16 +179,8 @@ ScenarioResult fig11(const ScenarioSpec& spec, ScenarioContext& ctx) {
   }
 
   if (!spec.quick) {
-    // Control: square-wave-driven 5-stage buffered line past the collapse —
-    // shows the false switching is not a ring artifact.
-    const auto tech = Technology::nm100();
-    const auto rc = rlc::core::rc_optimum(tech);
-    const auto p = ring_params(spec, 2.6e-6, rc.h, rc.k);
-    const double drive = 30.0 * rc.tau;
-    const rlc::exec::StopWatch sw;
-    const auto r = simulate_buffered_line(tech, p, drive, 5);
-    if (ctx.counters) ctx.counters->record_wall(sw.seconds());
-    res.metric("buffered_line_transition_ratio", r.transition_ratio);
+    res.metric("buffered_line_transition_ratio",
+               outcomes.back().transition_ratio);
     res.note(
         "Control: square-wave-driven 5-stage buffered line, 100 nm, l = 2.6 "
         "nH/mm; output transitions per drive transition > 1 means false "

@@ -6,6 +6,16 @@
 /// then one current unknown per device "branch" (voltage sources and
 /// inductors).  Devices contribute to the system via stamps; dynamic devices
 /// keep companion-model history that is advanced by commit_step().
+///
+/// That ordering is the public one (probes, initial_voltages, DcResult::x).
+/// Inside the Newton solver the matrix is symmetrically permuted so the
+/// unknowns touched by nonlinear stamps come last, and a linear device's
+/// matrix stamp is computed once per (analysis, integrator, dt, gmin) and
+/// reused across Newton iterations and time steps; only its right-hand side
+/// is restamped each step.  Both rest on Device::nonlinear() being
+/// truthful: a device whose matrix entries depend on the iterate, or on
+/// anything else that changes between steps (time, history), must report
+/// nonlinear() == true.
 
 #include <complex>
 #include <string>
@@ -43,12 +53,16 @@ struct StampContext {
 class Stamper {
  public:
   Stamper(std::vector<rlc::linalg::Triplet>& triplets, std::vector<double>& rhs)
-      : triplets_(triplets), rhs_(rhs) {}
+      : triplets_(&triplets), rhs_(rhs) {}
+  /// Right-hand-side-only stamper: matrix entries are dropped.  The
+  /// transient solver uses it to refresh linear devices' history and source
+  /// terms while their cached matrix values stay valid.
+  explicit Stamper(std::vector<double>& rhs) : triplets_(nullptr), rhs_(rhs) {}
 
   /// Matrix entry A(row, col) += value.
   void add(int row, int col, double value) {
-    if (row < 0 || col < 0) return;
-    triplets_.push_back({row, col, value});
+    if (row < 0 || col < 0 || triplets_ == nullptr) return;
+    append(row, col, value);
   }
   /// Right-hand side z(row) += value.
   void add_rhs(int row, double value) {
@@ -60,7 +74,10 @@ class Stamper {
   static int unk(NodeId n) { return n - 1; }
 
  private:
-  std::vector<rlc::linalg::Triplet>& triplets_;
+  // Out of line so add()'s checks inline into every device stamp: a
+  // right-hand-side-only pass then makes no calls for matrix entries.
+  void append(int row, int col, double value);
+  std::vector<rlc::linalg::Triplet>* triplets_;
   std::vector<double>& rhs_;
 };
 
@@ -111,6 +128,8 @@ class Device {
   int branch_base() const { return branch_base_; }
 
   /// True if the stamp depends on the current iterate (requires Newton).
+  /// A linear device's matrix entries may depend only on the analysis, the
+  /// integrator, dt and gmin (see the file comment: the solver caches them).
   virtual bool nonlinear() const { return false; }
 
   /// Contribute to the MNA system for the given context.

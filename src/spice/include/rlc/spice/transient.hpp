@@ -63,6 +63,14 @@ struct TransientOptions {
   double lte_abstol_v = 1e-5;
 
   std::vector<Probe> probes;    ///< empty: record every node voltage
+
+  /// Incremental MNA assembly (see the device.hpp file comment): linear
+  /// stamps reused across Newton iterations and steps, nonlinear unknowns
+  /// ordered last inside the solver, and only the trailing LU columns
+  /// refactored.  false restamps every device and refactors every column
+  /// on each Newton iteration, in the public unknown order — the reference
+  /// the incremental path is tested against.  Results agree to rounding.
+  bool incremental_assembly = true;
 };
 
 struct TransientResult {
@@ -80,6 +88,9 @@ struct TransientResult {
 
 /// Run a transient analysis.  Throws std::invalid_argument on bad options
 /// and std::runtime_error if the initial DC solve (when requested) fails.
+/// Each run adds its accepted steps, rejected steps and Newton iterations
+/// to the obs::Registry counters
+/// spice.transient.{steps,rejected_steps,newton_iters}.
 TransientResult run_transient(Circuit& ckt, const TransientOptions& opts);
 
 }  // namespace rlc::spice

@@ -4,6 +4,10 @@
 
 namespace rlc::spice {
 
+void Stamper::append(int row, int col, double value) {
+  triplets_->push_back({row, col, value});
+}
+
 void Device::stamp_ac(const AcContext& ctx, AcStamper& st) const {
   (void)ctx;
   (void)st;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "newton_detail.hpp"
+#include "rlc/obs/metrics.hpp"
 #include "rlc/spice/dcop.hpp"
 
 namespace rlc::spice {
@@ -33,6 +34,16 @@ double eval_probe(const Probe& p, const std::vector<double>& x) {
       return static_cast<const Resistor*>(p.device)->current(x);
   }
   throw std::logic_error("eval_probe: unknown probe kind '" + p.label + "'");
+}
+
+void publish_counters(long accepted, const TransientResult& res) {
+  auto& reg = rlc::obs::Registry::global();
+  static const int kSteps = reg.counter("spice.transient.steps");
+  static const int kRejected = reg.counter("spice.transient.rejected_steps");
+  static const int kNewton = reg.counter("spice.transient.newton_iters");
+  reg.add(kSteps, accepted);
+  reg.add(kRejected, res.steps_rejected);
+  reg.add(kNewton, res.newton_iterations);
 }
 
 }  // namespace
@@ -101,7 +112,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   ns.abstol_i = opts.abstol_i;
   ns.max_voltage_step = opts.max_voltage_step;
 
-  detail::SolveWorkspace ws;
+  detail::SolveWorkspace ws(opts.incremental_assembly);
   double t = 0.0;
   double dt_cur = opts.dt;
   const double dt_min = opts.dt / std::pow(2.0, opts.max_step_halvings);
@@ -130,6 +141,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       successes_at_reduced_dt = 0;
       if (dt_cur < dt_min) {
         res.completed = false;
+        publish_counters(accepted, res);
         return res;
       }
       continue;
@@ -182,6 +194,7 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   }
   res.steps_accepted = accepted;
   res.completed = true;
+  publish_counters(accepted, res);
   return res;
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "rlc/core/delay.hpp"
 #include "rlc/core/exact_delay.hpp"
@@ -58,13 +59,16 @@ double exact_delay_50(const Technology& tech, double l, double h, double k) {
   return rlc::core::exact_threshold_delay(tech, l, h, k, est.tau).value_or(-1.0);
 }
 
+// The technology name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, and gtest_discover_tests builds the
+// test names from that print, so the names would change from build to build.
 class ModelVsSpice
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ModelVsSpice, SegmentDelayAgreesAcrossThreeStacks) {
   const auto [name, l] = GetParam();
-  const Technology tech = std::string(name) == "250nm" ? Technology::nm250()
-                                                       : Technology::nm100();
+  const Technology tech =
+      name == "250nm" ? Technology::nm250() : Technology::nm100();
   const auto rc = rlc::core::rc_optimum(tech);
   const double h = rc.h, k = rc.k;
 
@@ -84,12 +88,12 @@ TEST_P(ModelVsSpice, SegmentDelayAgreesAcrossThreeStacks) {
 
 INSTANTIATE_TEST_SUITE_P(
     TechAndInductance, ModelVsSpice,
-    ::testing::Values(std::make_tuple("250nm", 0.0),
-                      std::make_tuple("250nm", 1e-6),
-                      std::make_tuple("250nm", 3e-6),
-                      std::make_tuple("100nm", 0.0),
-                      std::make_tuple("100nm", 1e-6),
-                      std::make_tuple("100nm", 3e-6)));
+    ::testing::Values(std::make_tuple(std::string("250nm"), 0.0),
+                      std::make_tuple(std::string("250nm"), 1e-6),
+                      std::make_tuple(std::string("250nm"), 3e-6),
+                      std::make_tuple(std::string("100nm"), 0.0),
+                      std::make_tuple(std::string("100nm"), 1e-6),
+                      std::make_tuple(std::string("100nm"), 3e-6)));
 
 TEST(ModelVsSpice, LadderConvergesToExactWithRefinement) {
   const auto tech = Technology::nm250();

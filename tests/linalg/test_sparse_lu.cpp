@@ -187,6 +187,87 @@ TEST(SparseLU, RefactorSignalsPivotCollapse) {
   EXPECT_FALSE(lu.refactor(m2));
 }
 
+TEST(SparseLU, PartialRefactorMatchesFreshFactorization) {
+  // A' differs from A only in columns >= first_col (any rows): refactoring
+  // just those columns must solve like a fresh factorization of A'.
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  const int n = 40;
+  MatrixD a(n, n);
+  for (int i = 0; i < n; ++i) {
+    a(i, i) = 6.0 + val(rng);
+    a(i, (i + 5) % n) = val(rng);
+    a((i + 11) % n, i) = val(rng);
+    a((3 * i + 1) % n, i) = val(rng);
+  }
+  const auto m = dense_to_csc(a);
+  std::vector<double> b(n);
+  for (auto& v : b) v = val(rng);
+  for (const int first_col : {0, 1, 17, n - 11, n - 1}) {
+    SparseLU lu(m);
+    MatrixD a2 = a;
+    for (int j = first_col; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        if (a2(i, j) != 0.0) a2(i, j) *= 1.0 + 0.2 * val(rng);
+      }
+    }
+    auto m2 = m;  // same pattern, values of a2
+    for (int j = 0; j < n; ++j) {
+      for (int p = m2.col_ptr()[j]; p < m2.col_ptr()[j + 1]; ++p) {
+        m2.values()[p] = a2(m2.row_idx()[p], j);
+      }
+    }
+    ASSERT_TRUE(lu.refactor(m2, first_col)) << first_col;
+    std::vector<double> x;
+    lu.solve(b, x);
+    const auto x_fresh = SparseLU(m2).solve(b);
+    double scale = 0.0;
+    for (double v : x_fresh) scale = std::max(scale, std::abs(v));
+    for (int i = 0; i < n; ++i) {
+      EXPECT_NEAR(x[i], x_fresh[i], 1e-12 * scale) << first_col << " " << i;
+    }
+  }
+}
+
+TEST(SparseLU, PartialRefactorTrailingPivotCollapseFallsBackToFullFactor) {
+  // Pivot order from A: column 1 pivots on row 1.  A' changes only columns
+  // 1 and 2 and zeroes that pivot, so refactor(A', 1) must refuse; a fresh
+  // factorization re-pivots (row 2) and solves A' exactly.
+  const auto m = CscMatrix::from_triplets(
+      3, 3, {{0, 0, 4.0}, {1, 1, 4.0}, {2, 1, 1.0}, {1, 2, 1.0}, {2, 2, 4.0}});
+  const auto m2 = CscMatrix::from_triplets(
+      3, 3, {{0, 0, 4.0}, {1, 1, 0.0}, {2, 1, 1.0}, {1, 2, 1.0}, {2, 2, 4.0}});
+  ASSERT_EQ(m.nnz(), m2.nnz());
+  SparseLU lu(m);
+  EXPECT_FALSE(lu.refactor(m2, 1));
+  const std::vector<double> xref{1.0, -2.0, 3.0};
+  const auto x = SparseLU(m2).solve(m2.multiply(xref));
+  for (int i = 0; i < 3; ++i) EXPECT_NEAR(x[i], xref[i], 1e-14) << i;
+  // A call that fails at column 2 has already overwritten column 1; the
+  // next refactor recomputes it even when it names a later first column.
+  const auto m3 = CscMatrix::from_triplets(
+      3, 3, {{0, 0, 4.0}, {1, 1, 2.0}, {2, 1, 1.0}, {1, 2, 1.0}, {2, 2, 0.5}});
+  SparseLU lu2(m);
+  EXPECT_FALSE(lu2.refactor(m3, 1));
+  ASSERT_TRUE(lu2.refactor(m, 3));
+  const auto xa = lu2.solve(m.multiply(xref));
+  for (int i = 0; i < 3; ++i) EXPECT_NEAR(xa[i], xref[i], 1e-14) << i;
+}
+
+TEST(SparseLU, RefactorFromLastColumnIsNoOp) {
+  const auto m = CscMatrix::from_triplets(
+      3, 3, {{0, 0, 4.0}, {1, 0, 1.0}, {1, 1, 3.0}, {2, 1, 1.0}, {2, 2, 5.0}});
+  SparseLU lu(m);
+  const std::vector<double> b{1.0, 2.0, 3.0};
+  const auto before = lu.solve(b);
+  auto m2 = m;
+  for (auto& v : m2.values()) v *= 2.0;  // differs in every column
+  ASSERT_TRUE(lu.refactor(m2, 3));
+  EXPECT_EQ(lu.solve(b), before);
+  EXPECT_THROW(lu.refactor(m2, 4), std::invalid_argument);
+  EXPECT_THROW(lu.refactor(m2, -1), std::invalid_argument);
+}
+
 TEST(SparseLU, RefactorSizeMismatchThrows) {
   const auto m = CscMatrix::from_triplets(2, 2, {{0, 0, 1.0}, {1, 1, 1.0}});
   SparseLU lu(m);

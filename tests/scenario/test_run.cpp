@@ -94,7 +94,7 @@ TEST(ScenarioRun, Fig7MatchesLegacyBinaryBitExactly) {
 /// The determinism contract: a scenario's numbers must not depend on the
 /// pool size it runs on.
 TEST(ScenarioRun, ResultsAreIdenticalAcrossThreadCounts) {
-  for (const char* name : {"fig4", "fig8", "ablation_ladder"}) {
+  for (const char* name : {"fig4", "fig8", "ablation_ladder", "fig11"}) {
     const Scenario& s = scenario(name);
     const ScenarioSpec spec = quick_spec(s.defaults);
     rlc::exec::ThreadPool pool1(1);

@@ -52,7 +52,9 @@ class ServerHarness {
   }
 
   ~ServerHarness() {
-    stop();
+    // Teardown only drains; a test that cares about serve()'s status checks
+    // the value its own stop() call returns.
+    static_cast<void>(stop());
     ::unlink(path_.c_str());
   }
 
