@@ -18,10 +18,14 @@ Two modes:
          request answered, zero errors/mismatches, ordered quantiles, and
          — schema 2 — the mid-run admin-scrape telemetry block).
 
-  validate_bench_json.py --serve-responses FILE
+  validate_bench_json.py --serve-responses FILE [--golden GOLDEN]
       An NDJSON response transcript captured from rlc_serve: every line a
       schema-stamped response envelope with a consistent status/code pair
-      and a result object on success.
+      and a result object on success.  With --golden, the query answers
+      and error responses must also match GOLDEN byte for byte once the
+      delivery metadata (from_cache, wall_seconds and any trace block) is
+      stripped; tests/svc/responses.golden.ndjson is the golden transcript
+      of tests/svc/requests.ndjson.
 
 Exits non-zero listing every violation; prints a one-line summary on success.
 """
@@ -608,6 +612,47 @@ def check_serve_responses(path):
     return len(lines)
 
 
+def strip_delivery(line):
+    """Drop the delivery metadata that closes a query result object:
+    from_cache, wall_seconds and any flat trace block after them."""
+    key = line.find('"from_cache"')
+    if key < 0:
+        return line
+    start = line.rfind(",", 0, key)
+    close = line.find("}", key)
+    return line if start < 0 or close < 0 else line[:start] + line[close:]
+
+
+def answer_lines(path):
+    """The query answers and error responses of a transcript, stripped of
+    delivery metadata: the lines whose bytes are pinned by a golden."""
+    out = []
+    for line in path.read_text().splitlines():
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError:
+            continue  # reported by check_serve_responses
+        result = d.get("result")
+        if d.get("status") != "ok" or (isinstance(result, dict)
+                                       and "from_cache" in result):
+            out.append((d.get("id"), strip_delivery(line)))
+    return out
+
+
+def check_serve_golden(path, golden):
+    got = answer_lines(path)
+    want = [(json.loads(l).get("id"), l)
+            for l in golden.read_text().splitlines() if l.strip()]
+    if len(got) != len(want):
+        err(path.name, f"{len(got)} answer lines, golden {golden.name} has "
+                       f"{len(want)}")
+    for (gid, g), (wid, w) in zip(got, want):
+        if g != w:
+            err(f"{path.name} id {gid!r}",
+                f"differs from golden id {wid!r}:\n  got  {g}\n  want {w}")
+    return len(want)
+
+
 def finish(summary):
     if errors:
         for e in errors:
@@ -617,10 +662,17 @@ def finish(summary):
 
 
 def main():
-    if len(sys.argv) == 3 and sys.argv[1] == "--serve-responses":
-        n = check_serve_responses(Path(sys.argv[2]))
-        finish(f"ok: {n} serve responses valid "
-               f"(schema {SERVE_SCHEMA_VERSION})")
+    if len(sys.argv) in (3, 5) and sys.argv[1] == "--serve-responses":
+        path = Path(sys.argv[2])
+        n = check_serve_responses(path)
+        summary = (f"ok: {n} serve responses valid "
+                   f"(schema {SERVE_SCHEMA_VERSION})")
+        if len(sys.argv) == 5:
+            if sys.argv[3] != "--golden":
+                sys.exit(__doc__)
+            g = check_serve_golden(path, Path(sys.argv[4]))
+            summary += f", {g} answers match the golden"
+        finish(summary)
         return
     if len(sys.argv) != 2:
         sys.exit(__doc__)

@@ -1,25 +1,27 @@
 #pragma once
 
 /// \file optimize_api.hpp
-/// The unified optimizer entry point.  The optimizer surface grew four
-/// parallel entry points (optimize_rlc, optimize_rlc_sweep,
-/// optimize_rlc_noise_constrained, try_optimize_*) before a second
-/// objective arrived; this header collapses them into ONE typed
-/// request/response pair so objectives and constraints compose instead of
+/// The one optimizer entry point: every sizing question — scalar, coupled
+/// bus, noise-budgeted bus, power under a delay slack — is one typed
+/// request/response pair, so objectives and constraints compose instead of
 /// multiplying entry points:
 ///
-///   OptimizeRequest{objective, l, constraints, domain, optim}
-///     -> StatusOr<OptimizeResponse>
+///   OptimizeRequest{objective, l, conductors, coupling, constraints,
+///                   domain, optim} -> StatusOr<OptimizeResponse>
 ///
-/// * objective kDelay reproduces the classic solves bit-for-bit (scalar,
-///   coupled quiet-neighbour, noise-constrained — selected by conductors
-///   and constraints.noise_vmax exactly as before).
+/// * objective kDelay, conductors == 1: the paper's Newton (h, k) solve
+///   (optimize_rlc), bit for bit.
+/// * objective kDelay, conductors 2..8: every wire of the symmetric bus
+///   gets the same (h, k), sized on the quiet-neighbour effective line, and
+///   the answer carries the exact victim noise of the centre-aggressor
+///   pattern (centre_aggressor_bus).  A constraints.noise_vmax budget is
+///   enforced by an active-set boundary solve in the repeater size; a slack
+///   budget returns the unconstrained answer bitwise.
 /// * objective kPower minimizes total chain power (power.hpp) subject to a
 ///   delay-slack constraint delay <= (1 + eps) * T_opt, where T_opt is the
-///   delay-optimal delay per unit length.  The solve mirrors the
-///   noise-constrained shape: an inner per-k largest-feasible-h boundary
-///   solve (Brent root on the upper branch of the U-shaped delay curve)
-///   under an outer Brent minimization of the boundary power over k.
+///   delay-optimal delay per unit length: an inner per-k largest-feasible-h
+///   boundary solve (Brent root on the upper branch of the U-shaped delay
+///   curve) under an outer k-grid scan and Brent refinement.
 /// * pareto_front sweeps the same bounded (h, k) domain and returns the
 ///   non-dominated delay-power set, sorted by delay with strictly
 ///   decreasing power.
@@ -29,13 +31,11 @@
 /// brute-force cross-checks: the eps = inf solve returns the domain's
 /// minimum-power corner using the same grid arithmetic, so it is bitwise
 /// the minimum-power grid point (pinned by tests).
-///
-/// The legacy entry points in optimizer.hpp remain as thin documented
-/// wrappers/kernels over this one (see DESIGN.md "Objective API").
 
 #include <vector>
 
 #include "rlc/base/status.hpp"
+#include "rlc/core/exact_delay.hpp"
 #include "rlc/core/optimizer.hpp"
 #include "rlc/core/power.hpp"
 #include "rlc/core/technology.hpp"
@@ -54,8 +54,9 @@ struct OptimizeConstraints {
   /// unconstrained minimum-power corner of the domain.
   double delay_slack_eps = std::numeric_limits<double>::infinity();
 
-  /// Delay objective with conductors >= 2: peak-noise budget [V]
-  /// (optimize_rlc_noise_constrained semantics).  0 means unconstrained.
+  /// Delay objective with conductors >= 2: budget [V] on the exact victim
+  /// peak noise of the centre-aggressor pattern for a unit swing.  0 means
+  /// unconstrained.
   double noise_vmax = 0.0;
 
   bool operator==(const OptimizeConstraints&) const = default;
@@ -116,6 +117,22 @@ struct OptimizeResponse {
   double noise_width = 0.0;         ///< its half-magnitude width [s]
   bool noise_constraint_active = false;  ///< noise_vmax bound the answer
 };
+
+/// The crosstalk pattern of every coupled answer: on the symmetric bus of
+/// `conductors` wires (tline::symmetric_bus) the centre conductor
+/// conductors / 2 switches 0 -> 1 V with every other wire quiet, and the
+/// edge conductor 0 is the victim.  optimize() budgets and reports the
+/// victim noise of this pattern; a coupled exact delay is the aggressor's.
+struct CentreAggressorBus {
+  tline::CoupledLine bus;
+  CoupledExcitation exc;
+  std::size_t aggressor = 0;
+  std::size_t victim = 0;
+};
+
+CentreAggressorBus centre_aggressor_bus(const tline::LineParams& line,
+                                        double cc, double km,
+                                        std::size_t conductors);
 
 /// Validate a request without solving: OK or invalid_argument naming the
 /// first bad field.

@@ -117,58 +117,17 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
                                             const SweepOptions& sweep);
 
 // ---------------------------------------------------------------------------
-// Noise-constrained mode: minimize delay subject to a crosstalk budget.
-//
-// The wires of a bus are sized as one: each conductor of the homogenized
-// symmetric bus (rlc::tline::symmetric_bus) gets the same (h, k).  The
-// objective is the quiet-neighbour delay per unit length (self c plus the
-// full Miller-1 coupling capacitance), and the constraint is the exact
-// quiet-victim peak noise of an edge conductor when the center conductor
-// switches rail to rail: peak_noise(h, k) <= vmax.
-//
-// Solve structure: unconstrained Newton first; if its optimum already
-// meets the budget the constraint is inactive and the result is bitwise
-// the unconstrained one.  Otherwise an active-set outer loop walks the
-// constraint boundary in the repeater size: upsized repeaters hold the
-// quiet victim at lower driver impedance, so along the per-k
-// delay-optimal segmentation h_opt(k) the victim peak noise falls
-// strictly with k while delay/length rises for k above the unconstrained
-// optimum.  The constrained optimum is the smallest feasible size — the
-// Brent root of peak_noise(h_opt(k), k) = vmax, bracketed by doubling k
-// upward from the unconstrained optimum.
-
-struct NoiseConstraintOptions {
-  double cc = 0.0;              ///< coupling capacitance per unit length [F/m]
-  double km = 0.0;              ///< inductive coupling coefficient, |km| < 1
-  std::size_t conductors = 2;   ///< bus width (2..8)
-  double vmax = 0.15;           ///< peak-noise budget [V] for a unit swing
-  OptimOptions optim{};         ///< inner unconstrained-solver options
-};
-
-struct NoiseOptimResult {
-  OptimResult sizing;           ///< (h, k) and quiet-neighbour delay numbers
-  double peak_noise = 0.0;      ///< exact victim peak noise at the result
-  bool constraint_active = false;  ///< vmax bound the solution
-  bool converged = false;
-};
-
-/// Throws std::invalid_argument on an out-of-range request (conductors
-/// outside 2..8, cc < 0, |km| >= 1, vmax <= 0).
-NoiseOptimResult optimize_rlc_noise_constrained(
-    const Technology& tech, double l, const NoiseConstraintOptions& c);
-
-// ---------------------------------------------------------------------------
 // Checked entry points (the public boundary — see DESIGN.md "Errors").
 //
-// Since the objective API redesign (optimize_api.hpp) the single typed
-// entry point is rlc::core::optimize(OptimizeRequest); the functions below
-// are THIN DOCUMENTED WRAPPERS kept for source compatibility:
-// try_optimize_rlc forwards to optimize() with objective kDelay, and the
-// throwing/flag-carrying functions above are the internal kernels optimize()
-// dispatches to.  All of them validate up front (invalid_argument),
-// translate non-convergence into a typed Status (no_convergence), honor the
-// cooperative cancellation scope (cancelled / deadline_exceeded), and catch
-// everything else at the boundary (internal).  No exception escapes them.
+// The single typed entry point is rlc::core::optimize(OptimizeRequest)
+// (optimize_api.hpp); it owns every constrained and coupled solve.  The
+// functions below are the checked forms of the scalar kernels above:
+// try_optimize_rlc forwards to optimize() with objective kDelay, and
+// try_optimize_rlc_sweep runs the warm-started sweep.  Both validate up
+// front (invalid_argument), translate non-convergence into a typed Status
+// (no_convergence), honor the cooperative cancellation scope (cancelled /
+// deadline_exceeded), and catch everything else at the boundary
+// (internal).  No exception escapes them.
 
 /// Validate an optimization request: finite l >= 0, f in (0, 1),
 /// max_iterations >= 1, residual_tolerance > 0.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,18 @@ std::string fmt(double v) {
 }
 
 }  // namespace
+
+CentreAggressorBus centre_aggressor_bus(const tline::LineParams& line,
+                                        double cc, double km,
+                                        std::size_t conductors) {
+  CentreAggressorBus p{tline::symmetric_bus(line, cc, km, conductors),
+                       {std::vector<double>(conductors, 0.0),
+                        std::vector<double>(conductors, 0.0)},
+                       conductors / 2,
+                       0};
+  p.exc.target[p.aggressor] = 1.0;
+  return p;
+}
 
 rlc::Status OptimizeDomain::validate() const {
   const auto finite_pos = [](double v) { return std::isfinite(v) && v > 0.0; };
@@ -120,72 +133,139 @@ std::optional<double> dpl_at(const Repeater& rep, const tline::LineParams& line,
 
 /// ---- objective kDelay ----------------------------------------------------
 
+/// A coupled-bus sizing with the exact victim noise at it.
+struct NoisySizing {
+  OptimResult sizing;
+  CoupledNoiseResult noise;
+  bool converged = false;
+};
+
+/// Delay under a peak-noise budget, entered once the unconstrained optimum
+/// `un` is known to exceed vmax.  Upsized repeaters hold the quiet victim at
+/// lower driver impedance, so along the per-k delay-optimal segmentation
+/// h_opt(k) the victim peak noise falls strictly with k while delay/length
+/// rises for k above the unconstrained optimum.  The constrained optimum is
+/// therefore the smallest feasible repeater size: the Brent root of
+/// peak_noise(h_opt(k), k) = vmax, bracketed by doubling k upward from
+/// un.k.  When no size meets the budget the result is not converged and
+/// carries the best point reached.
+NoisySizing solve_noise_budget(const Repeater& rep,
+                               const tline::LineParams& eff,
+                               const CentreAggressorBus& pattern,
+                               const OptimResult& un, double vmax, double f) {
+  RLC_TRACE_SPAN("optimize_noise_constrained");
+  DelayOptions dopts;
+  dopts.f = f;
+  const auto h_opt = [&](double k) -> double {
+    const auto hopt = rlc::math::brent_minimize(
+        [&](double h) { return delay_per_length(rep, eff, h, k, f); },
+        0.1 * un.h, 10.0 * un.h, 1e-4 * un.h);
+    return hopt.converged ? hopt.x : un.h;
+  };
+  // The sizing (h_opt(k), k) with its exact victim noise.  The smallest k
+  // seen to meet the budget is kept as the answer of last resort.
+  NoisySizing smallest_feasible;
+  smallest_feasible.sizing.k = kInf;
+  const auto on_boundary = [&](double k) {
+    const double h = h_opt(k);
+    const DelayResult d = segment_delay(rep, eff, h, k, dopts);
+    if (!d.converged) {
+      throw std::runtime_error(
+          "noise-constrained optimizer: delay solve failed");
+    }
+    NoisySizing p{un,
+                  exact_coupled_victim_noise(pattern.bus, h, rep.scaled(k),
+                                             pattern.exc, pattern.victim,
+                                             d.tau),
+                  false};
+    p.sizing.h = h;  // un supplies the Newton iteration count and method
+    p.sizing.k = k;
+    p.sizing.tau = d.tau;
+    p.sizing.delay_per_length = d.tau / h;
+    if (p.noise.peak <= vmax && k < smallest_feasible.sizing.k) {
+      smallest_feasible = p;
+      smallest_feasible.converged = true;
+    }
+    return p;
+  };
+
+  // Bracket by doubling: the unconstrained k is infeasible; walk up until
+  // the budget is met or the upsizing range is exhausted.
+  const double k_cap = 64.0 * un.k;
+  double k_hi = 2.0 * un.k;
+  NoisySizing top = on_boundary(k_hi);
+  while (k_hi < k_cap && top.noise.peak > vmax) {
+    k_hi *= 2.0;
+    top = on_boundary(k_hi);
+  }
+  if (top.noise.peak > vmax) return top;  // budget unreachable by sizing
+
+  // Jitter in h_opt(k) makes the noise boundary slightly non-monotone, so
+  // the root can land a hair on the infeasible side: nudge up first, then
+  // fall back to the smallest k evaluated as feasible (k_hi always is).
+  const auto kr = rlc::math::brent_root(
+      [&](double k) { return on_boundary(k).noise.peak - vmax; }, 0.5 * k_hi,
+      k_hi, 1e-4 * un.k);
+  if (!kr.converged) return smallest_feasible;
+  NoisySizing ans = on_boundary(kr.x);
+  if (ans.noise.peak > vmax) {
+    const NoisySizing up =
+        on_boundary(std::min(kr.x * (1.0 + 1e-3) + 1e-4 * un.k, k_hi));
+    if (up.noise.peak <= vmax) ans = up;
+  }
+  ans.converged = ans.noise.peak <= vmax * (1.0 + 1e-6);
+  return ans.converged ? ans : smallest_feasible;
+}
+
 rlc::StatusOr<OptimizeResponse> solve_delay(const Technology& tech,
                                             const OptimizeRequest& req) {
+  const auto not_converged = [&](const char* what) {
+    return rlc::Status::no_convergence(
+        std::string(what) + " did not converge (Newton budget " +
+        std::to_string(req.optim.max_iterations) +
+        (req.optim.allow_fallback ? ", Nelder-Mead fallback exhausted)"
+                                  : ")"));
+  };
   OptimizeResponse resp;
   resp.objective = Objective::kDelay;
 
   if (req.conductors == 1) {
     const OptimResult r = optimize_rlc(tech, req.l, req.optim);
-    if (!r.converged) {
-      return rlc::Status::no_convergence(
-          "optimizer did not converge (Newton budget " +
-          std::to_string(req.optim.max_iterations) +
-          (req.optim.allow_fallback ? ", Nelder-Mead fallback exhausted)"
-                                    : ")"));
-    }
+    if (!r.converged) return not_converged("optimizer");
     resp.sizing = r;
     return resp;
   }
 
-  // Coupled bus: size on the quiet-neighbour effective line (optionally
-  // under a noise budget) and report the exact victim noise at the answer —
-  // the same composition svc::Session has always served, now owned here.
+  // Coupled bus: size on the quiet-neighbour effective line — every wire
+  // sees the full Miller-1 coupling capacitance (d_max * cc in the
+  // homogenized bus) on top of its self c — and report the exact victim
+  // noise at the answer, under the noise budget when one is set.
   const tline::LineParams line = tech.line(req.l);
-  const double d_max = req.conductors >= 3 ? 2.0 : 1.0;
-  if (req.constraints.noise_vmax > 0.0) {
-    NoiseConstraintOptions nc;
-    nc.cc = req.coupling_cc;
-    nc.km = req.coupling_km;
-    nc.conductors = req.conductors;
-    nc.vmax = req.constraints.noise_vmax;
-    nc.optim = req.optim;
-    const NoiseOptimResult nr =
-        optimize_rlc_noise_constrained(tech, req.l, nc);
-    if (!nr.converged) {
+  tline::LineParams eff = line;
+  eff.c += (req.conductors >= 3 ? 2.0 : 1.0) * req.coupling_cc;
+  const OptimResult un = optimize_rlc(tech.rep, eff, req.optim);
+  if (!un.converged) return not_converged("coupled optimizer");
+
+  const CentreAggressorBus pattern = centre_aggressor_bus(
+      line, req.coupling_cc, req.coupling_km, req.conductors);
+  NoisySizing ans{un,
+                  exact_coupled_victim_noise(pattern.bus, un.h,
+                                             tech.rep.scaled(un.k), pattern.exc,
+                                             pattern.victim, un.tau),
+                  true};
+  const double vmax = req.constraints.noise_vmax;
+  if (vmax > 0.0 && ans.noise.peak > vmax) {
+    ans = solve_noise_budget(tech.rep, eff, pattern, un, vmax, req.optim.f);
+    if (!ans.converged) {
       return rlc::Status::no_convergence(
           "noise-constrained optimizer could not meet peak_noise <= " +
-          fmt(req.constraints.noise_vmax) + " V (best " +
-          fmt(nr.peak_noise) + " V)");
+          fmt(vmax) + " V (best " + fmt(ans.noise.peak) + " V)");
     }
-    resp.sizing = nr.sizing;
-    resp.noise_constraint_active = nr.constraint_active;
-  } else {
-    tline::LineParams eff = line;
-    eff.c += d_max * req.coupling_cc;
-    const OptimResult r = optimize_rlc(tech.rep, eff, req.optim);
-    if (!r.converged) {
-      return rlc::Status::no_convergence(
-          "coupled optimizer did not converge (Newton budget " +
-          std::to_string(req.optim.max_iterations) + ")");
-    }
-    resp.sizing = r;
+    resp.noise_constraint_active = true;
   }
-
-  // Exact victim noise at the answer: center aggressor, edge victim — the
-  // pattern the noise-constrained solve budgets against, so the reported
-  // peak is bit-identical to what that solve saw for the same sizing.
-  const tline::CoupledLine bus = tline::symmetric_bus(
-      line, req.coupling_cc, req.coupling_km, req.conductors);
-  const std::size_t aggressor = req.conductors / 2;
-  CoupledExcitation exc{std::vector<double>(req.conductors, 0.0),
-                        std::vector<double>(req.conductors, 0.0)};
-  exc.target[aggressor] = 1.0;
-  const CoupledNoiseResult noise = exact_coupled_victim_noise(
-      bus, resp.sizing.h, tech.rep.scaled(resp.sizing.k), exc, /*victim=*/0,
-      resp.sizing.tau);
-  resp.peak_noise = noise.peak;
-  resp.noise_width = noise.width;
+  resp.sizing = ans.sizing;
+  resp.peak_noise = ans.noise.peak;
+  resp.noise_width = ans.noise.width;
   resp.has_noise = true;
   return resp;
 }

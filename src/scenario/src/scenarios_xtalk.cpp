@@ -17,7 +17,7 @@
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/exact_delay.hpp"
-#include "rlc/core/optimizer.hpp"
+#include "rlc/core/optimize_api.hpp"
 #include "rlc/ringosc/coupled_bus.hpp"
 #include "rlc/scenario/registry.hpp"
 #include "rlc/tline/coupled_line.hpp"
@@ -323,7 +323,7 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
   }
 
   struct Row {
-    NoiseOptimResult r;
+    OptimizeResponse r;
     bool ok = false;
   };
   const auto rows =
@@ -331,14 +331,22 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
         const rlc::exec::StopWatch sw;
         Row row;
         const auto tech = technology_by_name(oc.tech_name);
-        NoiseConstraintOptions c;
-        c.cc = 0.3 * tech.line(kXtalkL).c;
-        c.km = 0.3;
-        c.conductors = 2;
-        c.vmax = oc.vmax;
-        c.optim = spec.optim_options();
-        row.r = optimize_rlc_noise_constrained(tech, kXtalkL, c);
-        row.ok = row.r.converged;
+        OptimizeRequest req;
+        req.l = kXtalkL;
+        req.conductors = 2;
+        req.coupling_cc = 0.3 * tech.line(kXtalkL).c;
+        req.coupling_km = 0.3;
+        req.constraints.noise_vmax = oc.vmax;
+        req.optim = spec.optim_options();
+        rlc::StatusOr<OptimizeResponse> resp = optimize(tech, req);
+        if (resp.is_ok()) {
+          row.r = *resp;
+          row.ok = true;
+        } else if (resp.status().code() !=
+                   rlc::StatusCode::kNoConvergence) {
+          throw std::runtime_error("noise-budgeted solve: " +
+                                   resp.status().to_string());
+        }
         if (ctx.counters) ctx.counters->record_wall(sw.seconds());
         return row;
       });
@@ -353,7 +361,7 @@ ScenarioResult xtalk_noise_opt(const ScenarioSpec& spec,
     if (!row.ok) continue;
     t.row({cases[i].tech_name, cases[i].vmax, row.r.sizing.h * 1e3,
            row.r.sizing.k, row.r.sizing.delay_per_length * 1e9,
-           row.r.peak_noise, row.r.constraint_active ? 1 : 0});
+           row.r.peak_noise, row.r.noise_constraint_active ? 1 : 0});
     worst_peak = std::max(worst_peak, row.r.peak_noise);
   }
   res.tables.push_back(std::move(t));

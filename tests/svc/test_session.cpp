@@ -67,6 +67,38 @@ std::vector<QueryRequest> grid_requests() {
   return reqs;
 }
 
+/// Session is a thin mapping: submit(q) answers bitwise what
+/// core::optimize answers for the same request.
+void expect_bitwise_core_optimize(Session& session, const QueryRequest& q) {
+  const auto r = session.submit(q);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  core::OptimizeRequest oreq;
+  oreq.objective = q.objective == "power" ? core::Objective::kPower
+                                          : core::Objective::kDelay;
+  oreq.l = q.l;
+  oreq.conductors = static_cast<std::size_t>(q.n_conductors);
+  oreq.coupling_cc = q.coupling_cc;
+  oreq.coupling_km = q.coupling_km;
+  oreq.constraints.noise_vmax = q.noise_vmax;
+  if (oreq.objective == core::Objective::kPower) {
+    oreq.constraints.delay_slack_eps = q.delay_slack_eps;
+  }
+  oreq.optim.f = q.threshold;
+  const auto direct =
+      core::optimize(scenario::technology_by_name(q.technology), oreq);
+  ASSERT_TRUE(direct.is_ok()) << direct.status().to_string();
+  EXPECT_EQ(r->h, direct->sizing.h);
+  EXPECT_EQ(r->k, direct->sizing.k);
+  EXPECT_EQ(r->tau, direct->sizing.tau);
+  EXPECT_EQ(r->delay_per_length, direct->sizing.delay_per_length);
+  EXPECT_EQ(r->has_power, direct->has_power);
+  EXPECT_EQ(r->power_total, direct->power.total());
+  EXPECT_EQ(r->has_noise, direct->has_noise);
+  EXPECT_EQ(r->peak_noise, direct->peak_noise);
+  EXPECT_EQ(r->noise_width, direct->noise_width);
+  EXPECT_EQ(r->constraint_active, direct->noise_constraint_active);
+}
+
 TEST(Session, SubmitAnswersAQuery) {
   Session session(SessionOptions{1, 0});
   QueryRequest q;
@@ -107,17 +139,31 @@ TEST(Session, PowerObjectiveCarriesThePowerBlock) {
   EXPECT_LE(r->delay_per_length, 1.05 * r->delay_ref * (1.0 + 1e-9));
   EXPECT_LT(r->power_total, r->power_ref);
   EXPECT_TRUE(r->power_constraint_active);
-  // Session is a thin wrapper: the answer is bitwise core::optimize's.
-  core::OptimizeRequest oreq;
-  oreq.objective = core::Objective::kPower;
-  oreq.l = q.l;
-  oreq.constraints.delay_slack_eps = q.delay_slack_eps;
-  const auto direct = core::optimize(
-      scenario::technology_by_name(q.technology), oreq);
-  ASSERT_TRUE(direct.is_ok());
-  EXPECT_EQ(r->h, direct->sizing.h);
-  EXPECT_EQ(r->k, direct->sizing.k);
-  EXPECT_EQ(r->power_total, direct->power.total());
+  expect_bitwise_core_optimize(session, q);
+}
+
+// Session maps every query class onto core::optimize: coupled buses of 2
+// and 3 wires, slack and binding noise budgets, and a budget at a 90%
+// threshold answer bitwise what the core entry point answers.
+TEST(Session, CoupledAndBudgetedAnswersAreBitwiseCoreOptimize) {
+  Session session(SessionOptions{1, 0});
+  std::vector<QueryRequest> cases = {coupled_request("100nm", 2),
+                                     coupled_request("100nm", 3),
+                                     coupled_request("250nm", 3)};
+  for (const double vmax : {0.12, 0.9}) {
+    QueryRequest q = coupled_request("100nm", 2);
+    q.noise_vmax = vmax;
+    cases.push_back(q);
+  }
+  QueryRequest budget_f90 = coupled_request("100nm", 2);
+  budget_f90.coupling_cc = 2.5e-11;
+  budget_f90.threshold = 0.9;
+  budget_f90.noise_vmax = 0.2;
+  cases.push_back(budget_f90);
+  for (const QueryRequest& q : cases) {
+    SCOPED_TRACE(q.cache_key());
+    expect_bitwise_core_optimize(session, q);
+  }
 }
 
 // The wire pin of the objective extension: a scalar query with the
