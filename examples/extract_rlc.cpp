@@ -10,7 +10,6 @@
 #include <cstdlib>
 
 #include "rlc/extract/bem2d.hpp"
-#include "rlc/extract/capacitance.hpp"
 #include "rlc/extract/inductance.hpp"
 #include "rlc/extract/resistance.hpp"
 #include "rlc/math/constants.hpp"
@@ -32,8 +31,7 @@ int main(int argc, char** argv) {
   std::printf("r (bulk Cu):              %7.2f Ohm/mm\n", r * 1e-3);
   std::printf("r (+30%% barrier/liner):   %7.2f Ohm/mm\n", 1.3 * r * 1e-3);
 
-  // --- Capacitance: empirical and BEM ---
-  const double c_st = sakurai_tamaru_bus_middle(w, t, h, pitch, er);
+  // --- Capacitance: 2D BEM ---
   Bem2dOptions opts;
   opts.eps_r = er;
   opts.panels_per_side = 16;
@@ -42,12 +40,8 @@ int main(int argc, char** argv) {
   const double c_bem = cmat(1, 1);
   const double cc = -cmat(1, 0);  // coupling to one neighbour
   const double cg = c_bem - 2.0 * cc;
-  std::printf("\nc (Sakurai-Tamaru):       %7.1f pF/m\n", c_st * 1e12);
-  std::printf("c (2D BEM, middle wire):  %7.1f pF/m  (ground %.1f + 2 x %.1f coupling)\n",
+  std::printf("\nc (2D BEM, middle wire):  %7.1f pF/m  (ground %.1f + 2 x %.1f coupling)\n",
               c_bem * 1e12, cg * 1e12, cc * 1e12);
-  const auto mill = miller_range(cg, cc);
-  std::printf("Miller switching range:   %7.1f .. %.1f pF/m (x%.1f)\n",
-              mill.c_min * 1e12, mill.c_max * 1e12, mill.c_max / mill.c_min);
 
   // --- Inductance: the return-path problem ---
   std::printf("\nl depends on the current return path (Section 1.1):\n");

@@ -452,16 +452,18 @@ def check_invariants(name, d):
         if metrics.get("max_rel_err", math.inf) > budget:
             err(name, f"max_rel_err {metrics.get('max_rel_err')} "
                       f"exceeds budget {budget}")
-        # The SoA batch kernel must agree with the memoized per-point
-        # evaluator at any simd level.  1e-8 not 1e-12: the comparison spans
-        # deep-rolloff contour nodes where |H| is within a few hundred
-        # orders of magnitude of underflow and the reference's own complex
-        # division sequencing costs relative digits; the tight 1e-12
-        # scalar-vs-simd pin lives in tests/tline/test_batch_evaluator.cpp.
+        # The SoA batch kernel must agree with the per-point
+        # exact_transfer_dc_safe(...)/s at any simd level.  1e-8 not 1e-12:
+        # the comparison spans deep-rolloff contour nodes where |H| is
+        # within a few hundred orders of magnitude of underflow and the
+        # reference's own complex division sequencing costs relative
+        # digits; the tight 1e-12 scalar-vs-simd pin lives in
+        # tests/tline/test_batch_evaluator.cpp.
         kerr = metrics.get("batch_kernel_rel_err", math.inf)
         if kerr > 1e-8:
             err(name, f"batch_kernel_rel_err {kerr} exceeds 1e-8: "
-                      "batch kernel disagrees with the per-point evaluator")
+                      "batch kernel disagrees with the per-point "
+                      "exact_transfer_dc_safe")
         # The batch-vs-per-point speedup IS enforced on full runs: the
         # head-to-head times both variants inside the same scenario, so
         # concurrent CI load cancels out of the ratio.  Quick runs use

@@ -5,9 +5,10 @@
 /// rlc::StatusOr<T>.
 ///
 /// Boundary rule (see DESIGN.md "Errors"): exceptions are an INTERNAL
-/// mechanism — deep numeric code may throw std::runtime_error /
-/// std::invalid_argument freely, and the cooperative-cancellation
-/// checkpoints unwind with rlc::CancelledError.  No exception crosses a
+/// mechanism — deep numeric code throws rlc::NoConvergenceError when a
+/// solve fails and std::invalid_argument / std::domain_error on bad input,
+/// and the cooperative-cancellation checkpoints unwind with
+/// rlc::CancelledError.  No exception crosses a
 /// public entry point of the redesigned surface (rlc::svc, the checked
 /// scenario/optimizer entry points): those catch at the boundary and
 /// return a Status with a typed code instead, so callers dispatch on
@@ -77,6 +78,16 @@ class [[nodiscard]] Status {
  private:
   StatusCode code_ = StatusCode::kOk;
   std::string message_;
+};
+
+/// Thrown by numeric code whose solve exhausted its budget without an
+/// answer (a delay root that was never bracketed, a boundary solve whose
+/// inner delay failed).  Internal unwind mechanism only: the checked
+/// entry points and rlc::svc map it to a no_convergence Status.
+class NoConvergenceError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+  Status to_status() const { return Status::no_convergence(what()); }
 };
 
 /// Thrown by callers that insist on a value from a failed StatusOr.

@@ -8,7 +8,7 @@
 ///
 /// Two execution paths:
 ///   * the fast exact-waveform ENGINE (default): shared-contour Talbot
-///     windows evaluated through a cached tline::TransferEvaluator — an
+///     windows filled by the SoA tline::BatchTransferEvaluator — an
 ///     N-point waveform costs one set of M transfer evaluations per window
 ///     instead of N*M, and a threshold delay descends lazily through
 ///     windows and polishes the crossing with Brent on the window
@@ -16,7 +16,9 @@
 ///     path at matching (<= 1e-3 relative, typically ~1e-9) accuracy;
 ///   * the LEGACY per-t path (ExactOptions::legacy_bisection, and the
 ///     plain exact_step_response overload): one full Talbot contour per
-///     time point / bisection probe.  Kept as the accuracy reference.
+///     time point / bisection probe.  Kept as the accuracy reference; the
+///     bisection evaluates Eq. (1) through the same batch evaluator as the
+///     engine, so both paths share one integrand.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,15 +55,13 @@ struct ExactOptions {
 
 /// Instrumentation of one engine run (or an exact_sweep aggregate).
 struct ExactStats {
-  std::int64_t transfer_evals = 0;  ///< fresh Eq. (1) evaluations
-  std::int64_t cache_hits = 0;      ///< memoized F(s) reuses
+  std::int64_t transfer_evals = 0;  ///< Eq. (1) evaluations
   std::int64_t windows = 0;         ///< shared contours built
   std::int64_t brent_iterations = 0;
   std::int64_t legacy_fallbacks = 0;  ///< engine runs rescued by bisection
 
   ExactStats& operator+=(const ExactStats& o) {
     transfer_evals += o.transfer_evals;
-    cache_hits += o.cache_hits;
     windows += o.windows;
     brent_iterations += o.brent_iterations;
     legacy_fallbacks += o.legacy_fallbacks;

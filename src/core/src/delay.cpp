@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "rlc/base/status.hpp"
 #include "rlc/math/newton.hpp"
 
 namespace rlc::core {
@@ -57,7 +58,9 @@ DelayResult threshold_delay(const TwoPole& sys, const DelayOptions& opts) {
 
 double delay_50(const TwoPole& sys) {
   const DelayResult r = threshold_delay(sys, {});
-  if (!r.converged) throw std::runtime_error("delay_50: delay solve failed");
+  if (!r.converged) {
+    throw rlc::NoConvergenceError("delay_50: delay solve failed");
+  }
   return r.tau;
 }
 

@@ -13,7 +13,6 @@
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
 #include "rlc/tline/batch_evaluator.hpp"
-#include "rlc/tline/evaluator.hpp"
 
 namespace rlc::core {
 
@@ -66,13 +65,13 @@ struct BatchStep {
 };
 
 /// The fast exact-waveform engine: a SoA BatchTransferEvaluator fills every
-/// cold Talbot contour in one vectorized pass (the cache-miss hot path),
-/// while the memoizing per-point TransferEvaluator backs the legacy
-/// reference bisection.
+/// Talbot contour in one vectorized pass — the shared windows, the per-t
+/// refinement and the legacy reference bisection all evaluate Eq. (1)
+/// through it.
 ///
 /// The engine is channelized for the coupled-line refactor: K >= 1 modal
-/// channels, each a scalar (line, h, dl) evaluator pair with a
-/// recomposition coefficient, combined per probe as
+/// channels, each a scalar (line, h, dl) evaluator with a recomposition
+/// coefficient, combined per probe as
 ///   v(t) = offset + sum_k coef_k v_k(t).
 /// The single-conductor constructor builds one channel flagged as a pure
 /// passthrough, which bypasses the recomposition sum entirely so the
@@ -210,29 +209,18 @@ class WaveformEngine {
 
   /// Legacy per-t bisection (the pre-engine implementation), kept as the
   /// reference and as the rescue path when the engine loses its bracket.
-  /// Composite engines bisect the recomposed waveform (one memoized per-t
-  /// inversion per channel per probe).
+  /// It bisects the same per-t integrand refine_per_t converges onto (one
+  /// batch contour per channel per probe).
   std::optional<double> legacy_threshold(double tau_scale, double f) {
-    const auto v = [&](double t) {
-      if (single_) {
-        return rlc::laplace::talbot_invert(channels_[0]->eval.step_ref(), t,
-                                           opts_.talbot_points);
-      }
-      double acc = offset_;
-      for (const auto& ch : channels_)
-        acc += ch->coef * rlc::laplace::talbot_invert(ch->eval.step_ref(), t,
-                                                      opts_.talbot_points);
-      return acc;
-    };
     double lo = kSearchLo * tau_scale, hi = kSearchHi * tau_scale;
     // The hi endpoint is negated so a non-finite value (kernel overflow at
     // extreme scales) reports "no bracket" instead of bisecting on NaN.
     // A non-finite v(lo) is tolerated: the deep foot overflows first while
     // being physically ~0, i.e. safely below any threshold.
-    if (v(lo) > f || !(v(hi) >= f)) return std::nullopt;
+    if (invert_per_t(lo) > f || !(invert_per_t(hi) >= f)) return std::nullopt;
     for (int i = 0; i < 60; ++i) {
       const double mid = 0.5 * (lo + hi);
-      (v(mid) < f ? lo : hi) = mid;
+      (invert_per_t(mid) < f ? lo : hi) = mid;
     }
     return 0.5 * (lo + hi);
   }
@@ -325,11 +313,8 @@ class WaveformEngine {
 
   ExactStats stats() const {
     ExactStats s;
-    for (const auto& ch : channels_) {
-      s.transfer_evals += static_cast<std::int64_t>(ch->eval.evaluations() +
-                                                    ch->batch.evaluations());
-      s.cache_hits += static_cast<std::int64_t>(ch->eval.cache_hits());
-    }
+    for (const auto& ch : channels_)
+      s.transfer_evals += static_cast<std::int64_t>(ch->batch.evaluations());
     s.windows = windows_;
     s.brent_iterations = brent_iterations_;
     s.legacy_fallbacks = legacy_fallbacks_;
@@ -413,21 +398,20 @@ class WaveformEngine {
     return t_best;
   }
 
-  /// One modal channel: the scalar evaluator pair plus its recomposition
-  /// coefficient.  Held by unique_ptr — the evaluators flush metrics at
-  /// destruction, so they must never be copied.
+  /// One modal channel: the scalar batch evaluator plus its recomposition
+  /// coefficient.  Held by unique_ptr — the evaluator flushes metrics at
+  /// destruction and `bstep` points at it, so it must never be copied.
   struct Channel {
     Channel(const tline::LineParams& line, double h,
             const tline::DriverLoad& dl, double coef_in)
-        : eval(line, h, dl), batch(line, h, dl), coef(coef_in) {}
-    rlc::tline::TransferEvaluator eval;
+        : batch(line, h, dl), coef(coef_in) {}
     rlc::tline::BatchTransferEvaluator batch;
     BatchStep bstep{&batch};
     double coef;
   };
 
   /// Composite per-t inversion on the batch integrand (the accuracy
-  /// reference refine_per_t converges onto).
+  /// reference refine_per_t converges onto and legacy_threshold bisects).
   double invert_per_t(double t) const {
     if (single_) {
       return rlc::laplace::talbot_invert(

@@ -170,7 +170,7 @@ NoisySizing solve_noise_budget(const Repeater& rep,
     const double h = h_opt(k);
     const DelayResult d = segment_delay(rep, eff, h, k, dopts);
     if (!d.converged) {
-      throw std::runtime_error(
+      throw rlc::NoConvergenceError(
           "noise-constrained optimizer: delay solve failed");
     }
     NoisySizing p{un,

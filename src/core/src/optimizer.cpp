@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "rlc/base/status.hpp"
 #include "rlc/core/optimize_api.hpp"
 #include "rlc/math/nelder_mead.hpp"
 #include "rlc/math/newton.hpp"
@@ -107,7 +108,7 @@ double delay_per_length(const Repeater& rep, const tline::LineParams& line,
   dopts.f = f;
   const DelayResult dr = segment_delay(rep, line, h, k, dopts);
   if (!dr.converged) {
-    throw std::runtime_error("delay_per_length: delay solve failed");
+    throw rlc::NoConvergenceError("delay_per_length: delay solve failed");
   }
   return dr.tau / h;
 }

@@ -19,6 +19,8 @@ rlc::StatusOr<T> at_boundary(Body&& body) {
     return body();
   } catch (const rlc::CancelledError& e) {
     return e.to_status();
+  } catch (const rlc::NoConvergenceError& e) {
+    return e.to_status();
   } catch (const std::invalid_argument& e) {
     return rlc::Status::invalid_argument(e.what());
   } catch (const std::domain_error& e) {

@@ -19,14 +19,14 @@
 ///     lambda trades evaluations against accuracy at the window foot.
 ///
 /// Two evaluator signatures, both non-owning FunctionRef views:
-///   * per-point (LaplaceFnRef): cplx F(cplx s) — simple, M calls per
-///     contour;
 ///   * span-of-nodes (BatchLaplaceFnRef): fill F at n SoA nodes in ONE
 ///     call.  This is the primary path — a batched evaluator (e.g.
 ///     rlc::tline::BatchTransferEvaluator) amortizes its vectorized
 ///     transcendental core over the whole contour instead of being called
-///     through type-erased dispatch M times.  The per-point overloads
-///     adapt onto it.
+///     through type-erased dispatch M times.  The shared-contour window
+///     takes only this form;
+///   * per-point (LaplaceFnRef): cplx F(cplx s) — simple, M calls per
+///     contour; kept for the per-t inversion of closed-form transforms.
 ///
 /// Requirements: F(s) analytic for Re(s) > 0 with all singularities in the
 /// open left half-plane (true for the passive RC/RLC structures here) and
@@ -77,12 +77,9 @@ std::vector<double> talbot_invert(BatchLaplaceFnRef F,
 class TalbotContour {
  public:
   /// Samples F at the M contour nodes for the contour tuned to t_max —
-  /// one span call, SoA end to end.  This is the primary constructor.
+  /// one span call, SoA end to end.
   /// Throws std::invalid_argument for t_max <= 0 or M < 4.
   TalbotContour(BatchLaplaceFnRef F, double t_max, int M = 48);
-
-  /// Per-point adapter: same contour, F called node by node.
-  TalbotContour(LaplaceFnRef F, double t_max, int M = 48);
 
   double t_max() const noexcept { return t_max_; }
   int points() const noexcept { return static_cast<int>(weight_re_.size()); }
@@ -108,10 +105,6 @@ class TalbotContour {
 /// [t_max/lambda, t_max]; lambda >= 1 bounds the window so callers cannot
 /// silently push times into the inaccurate deep-foot regime.  Throws
 /// std::invalid_argument on a time outside the window or lambda < 1.
-std::vector<double> talbot_invert_window(LaplaceFnRef F,
-                                         const std::vector<double>& times,
-                                         double t_max, int M = 48,
-                                         double lambda = 4.0);
 std::vector<double> talbot_invert_window(BatchLaplaceFnRef F,
                                          const std::vector<double>& times,
                                          double t_max, int M = 48,

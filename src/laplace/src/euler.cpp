@@ -95,8 +95,8 @@ double euler_invert(BatchLaplaceFnRef F, double t, const EulerOptions& opts) {
 
 namespace {
 
-/// Per-point adapter mirroring talbot.cpp's: lets the LaplaceFnRef
-/// overloads share the batch implementation.
+/// Per-point adapter: lets the LaplaceFnRef overloads share the batch
+/// implementation.
 struct PointAdapter {
   LaplaceFnRef f;
   void operator()(const double* s_re, const double* s_im, double* f_re,

@@ -30,7 +30,7 @@
 #include "rlc/scenario/registry.hpp"
 #include "rlc/spice/transient.hpp"
 #include "rlc/tline/batch_evaluator.hpp"
-#include "rlc/tline/evaluator.hpp"
+#include "rlc/tline/transfer.hpp"
 
 namespace rlc::scenario {
 
@@ -312,12 +312,12 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
   geo = std::pow(geo, 1.0 / std::size(configs));
   res.tables.push_back(std::move(t));
 
-  // Cold-kernel head-to-head: the cache-miss hot path of the engine is
-  // filling a fresh Talbot contour with transfer samples.  Replay that
-  // workload (every node distinct, so the per-point memo never hits) three
-  // ways: per-point scalar TransferEvaluator, SoA batch at forced-scalar
-  // level, SoA batch at the active SIMD level.  Evaluators are constructed
-  // inside the timed region — cold means cold.
+  // Cold-kernel head-to-head: the hot path of the engine is filling a
+  // fresh Talbot contour with transfer samples.  Replay that workload
+  // (every node distinct) three ways: a plain per-point
+  // exact_transfer_dc_safe(...)/s loop, SoA batch at forced-scalar level,
+  // SoA batch at the active SIMD level.  Evaluators are constructed inside
+  // the timed region — cold means cold.
   Table kt("Cold-contour transfer kernel: per-point vs SoA batch",
            {"tech", "l (nH/mm)", "scalar_per_point (us)", "batch_scalar (us)",
             "batch_simd (us)", "batch speedup", "simd gain"});
@@ -354,13 +354,14 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
     std::vector<double> fre(n), fim(n);
     const int kreps = spec.quick ? 5 : 15;
 
+    const auto point_step = [&](std::size_t i) {
+      const std::complex<double> s(sre[i], sim[i]);
+      return rlc::tline::exact_transfer_dc_safe(line, c.h, dl, s) / s;
+    };
     const double s_point = time_s(
         [&] {
-          const rlc::tline::TransferEvaluator ev(line, c.h, dl);
           double acc = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            acc += ev.step({sre[i], sim[i]}).real();
-          }
+          for (std::size_t i = 0; i < n; ++i) acc += point_step(i).real();
           g_sink = acc;
         },
         kreps);
@@ -382,9 +383,8 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
 
     // Agreement between the per-point values and the batch (active-level)
     // values on the same nodes — fre/fim hold the last batch_simd pass.
-    const rlc::tline::TransferEvaluator ref(line, c.h, dl);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::complex<double> p = ref.step({sre[i], sim[i]});
+      const std::complex<double> p = point_step(i);
       const double mag = std::abs(p);
       if (!std::isfinite(mag) || mag == 0.0) continue;
       const double err = std::abs(std::complex<double>(fre[i], fim[i]) - p);

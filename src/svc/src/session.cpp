@@ -207,6 +207,11 @@ struct Session::Impl {
       account_stages(req, e.to_status().code_name(), false, queue_us,
                      cache_us, seconds_since(t_solve) * 1e6);
       return e.to_status();
+    } catch (const NoConvergenceError& e) {
+      reg.add(m.errors);
+      account_stages(req, "no_convergence", false, queue_us, cache_us,
+                     seconds_since(t_solve) * 1e6);
+      return e.to_status();
     } catch (const std::invalid_argument& e) {
       reg.add(m.errors);
       account_stages(req, "invalid_argument", false, queue_us, cache_us,

@@ -1,26 +1,28 @@
 #pragma once
 
 /// \file batch_evaluator.hpp
-/// BatchTransferEvaluator: the structure-of-arrays counterpart of
-/// TransferEvaluator — evaluates the exact Eq. (1) transfer function at a
-/// whole span of s nodes in one pass.  This is the cache-miss hot path of
-/// the exact-waveform engine: a cold Talbot contour needs all M nodes
-/// fresh, so per-point memoization only adds hash traffic while the
-/// transcendental core (one complex exp per node) vectorizes 4-wide.
+/// BatchTransferEvaluator: the exact-waveform engine's one evaluator of the
+/// Eq. (1) transfer function — a structure-of-arrays kernel that fills a
+/// whole span of s nodes in one pass.  Every Talbot contour the engine
+/// builds (shared windows, per-t refinement, the legacy reference
+/// bisection) and every Euler span goes through it; its transcendental
+/// core (one complex exp per node) vectorizes 4-wide.
 ///
-/// Against calling TransferEvaluator::transfer in a loop it
-///   * keeps the hoisted denominator invariants (same construction),
-///   * batches every cosh/sinhc through ONE rlc::simd::cexp_pd call per
-///     block (AVX2+FMA when the host has it, scalar libm otherwise —
-///     selectable per instance for head-to-head benches),
-///   * skips the memo table entirely: no hashing, no allocation, no
-///     std::function dispatch anywhere on the path.
+/// Against calling exact_transfer_dc_safe() in a loop it
+///   * hoists every s-independent invariant of the denominator at
+///     construction (driver/load products, c*h, l*h, r*h),
+///   * obtains cosh and sinhc from ONE complex exponential per node,
+///     batched through one rlc::simd::cexp_pd call per block (AVX2+FMA
+///     when the host has it, scalar libm otherwise — selectable per
+///     instance for head-to-head benches),
+///   * has no per-node dispatch, hashing or allocation anywhere on the
+///     path.
 ///
-/// Accuracy: the scalar level matches TransferEvaluator to a few ulp (same
-/// formulas, different division/sqrt sequencing); the AVX2 level matches
-/// the scalar level to ~1 ulp.  The test suite pins both agreements at
-/// 1e-12 relative, including the theta*h -> 0 series guard, denormal and
-/// huge-|s| edge cases.
+/// Accuracy: the scalar level matches exact_transfer_dc_safe to a few ulp
+/// on contour nodes (same denominator, different cosh/sinh and division
+/// sequencing); the AVX2 level matches the scalar level to ~1 ulp.  The
+/// test suite pins both agreements at 1e-12 relative, including the
+/// theta*h -> 0 series guard, denormal and huge-|s| edge cases.
 
 #include <complex>
 #include <cstddef>
@@ -65,7 +67,7 @@ class BatchTransferEvaluator {
   void eval(const double* s_re, const double* s_im, double* out_re,
             double* out_im, std::size_t n, bool divide_by_s) const;
 
-  // Hoisted invariants of the dc-safe denominator (TransferEvaluator's).
+  // Hoisted invariants of the dc-safe denominator.
   double rs_cp_cl_ = 0.0;   ///< Rs (Cp + Cl)
   double rs_ch_ = 0.0;      ///< Rs c h
   double cl_ = 0.0;         ///< Cl

@@ -7,10 +7,9 @@
 /// The coupled telegrapher equations  d2V/dx2 = (rI + sL)(sC) V  decouple
 /// exactly (at every frequency) when [L, C] = 0: an orthonormal W that
 /// diagonalizes both maps each mode j onto a *scalar* line (r, l_j, c_j)
-/// that reuses Eq. (1), the memoizing TransferEvaluator and the SoA batch
-/// kernel unchanged.  Because the driver/load boundary (Rs, Cp, Cl) is
-/// scalar-times-identity it is invariant under W, so each mode also keeps
-/// the scalar DriverLoad.  Physical far-end waveforms are recomposed as
+/// that reuses Eq. (1) and the SoA batch kernel unchanged.  Because the
+/// driver/load boundary (Rs, Cp, Cl) is scalar-times-identity it is
+/// invariant under W, so each mode also keeps the scalar DriverLoad.  Physical far-end waveforms are recomposed as
 /// V(t) = V(0-) + W diag(v_j(t)) W^T (U(0+) - V(0-)).
 ///
 /// `symmetric_bus` builds the homogenized bus used by the xtalk scenarios:
@@ -44,8 +43,10 @@ struct CoupledLine {
 
 /// Homogenized n-conductor bus over a scalar base line: every conductor has
 /// the base (r, l, c), nearest neighbours couple through cc [F/m] and
-/// mutual-inductance ratio km (dimensionless, |km| < 1).  Requires
-/// 1 <= n <= 8, cc >= 0 (ignored for n = 1).
+/// mutual-inductance ratio km (dimensionless).  Requires 1 <= n <= 8,
+/// cc >= 0 and the realizability bound |km| 2cos(pi/(n+1)) < 1 — L
+/// positive definite; |km| < 1 for n = 2, < 1/sqrt(2) for n = 3 — (cc and
+/// km are ignored for n = 1).  Throws std::domain_error naming the bound.
 CoupledLine symmetric_bus(const LineParams& base, double cc, double km,
                           std::size_t n);
 

@@ -118,7 +118,7 @@ void BatchTransferEvaluator::eval(const double* s_re, const double* s_im,
         continue;
       }
       double chr, chi, shr, shi;  // cosh(th), sinh(th)/th
-      // Same guard as detail::cosh_sinhc: |th| < t  <=>  |th^2| < t^2.
+      // Same guard as detail::sinhc: |th| < t  <=>  |th^2| < t^2.
       if (std::sqrt(wr[i] * wr[i] + wi[i] * wi[i]) <
           detail::kSeriesGuardThresholdSq) {
         // Series in w = th^2, analytic through th = 0.

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "rlc/linalg/eigen.hpp"
+#include "rlc/math/constants.hpp"
 
 namespace rlc::tline {
 
@@ -42,8 +44,21 @@ CoupledLine symmetric_bus(const LineParams& base, double cc, double km,
     throw std::domain_error("symmetric_bus: require 1 <= n <= 8");
   if (n > 1 && !(cc >= 0.0))
     throw std::domain_error("symmetric_bus: require cc >= 0");
-  if (n > 1 && !(std::abs(km) < 1.0))
-    throw std::domain_error("symmetric_bus: require |km| < 1");
+  // L = l (I + km A) is positive definite iff 1 + km * lambda > 0 for
+  // every eigenvalue lambda = 2 cos(j pi / (n + 1)) of the path adjacency
+  // A, i.e. |km| 2 cos(pi / (n + 1)) < 1.  The n = 2 bound is spelled
+  // exactly (cos(pi/3) rounds above 1/2).  C is diagonally dominant for
+  // every cc >= 0, so cc needs no such bound.
+  const double km_bound =
+      n == 2 ? 1.0 : 0.5 / std::cos(rlc::math::kPi / (n + 1.0));
+  if (n > 1 && !(std::abs(km) < km_bound)) {
+    char msg[160];
+    std::snprintf(msg, sizeof msg,
+                  "symmetric_bus: require |km| * 2cos(pi/(n+1)) < 1, i.e. "
+                  "|km| < %.6g for n = %zu (got km = %g)",
+                  km_bound, n, km);
+    throw std::domain_error(msg);
+  }
 
   CoupledLine line;
   line.r = base.r;

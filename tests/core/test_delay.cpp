@@ -4,6 +4,9 @@
 
 #include <cmath>
 
+#include "../../src/core/src/status_boundary.hpp"
+#include "rlc/base/status.hpp"
+#include "rlc/core/optimizer.hpp"
 #include "rlc/core/technology.hpp"
 
 namespace rlc::core {
@@ -79,6 +82,24 @@ TEST(Delay, FewNewtonIterations) {
 TEST(Delay, Delay50Convenience) {
   const TwoPole sys(PadeCoeffs{3e-10, 1e-20});
   EXPECT_NEAR(sys.step_response(delay_50(sys)), 0.5, 1e-10);
+}
+
+TEST(Delay, UnbracketedSolveThrowsTypedNoConvergence) {
+  // A segment so long that its Pade time constants overflow: the crossing
+  // can never be bracketed.  The failure is the typed numeric error, and
+  // the checked boundary reports it as no_convergence, not internal.
+  const auto tech = Technology::nm100();
+  const auto line = tech.line(1e-6);
+  EXPECT_THROW(delay_per_length(tech.rep, line, 1e100, 100.0),
+               rlc::NoConvergenceError);
+  EXPECT_THROW(delay_50(TwoPole(pade_coeffs_hk(tech.rep, line, 1e100, 100.0))),
+               rlc::NoConvergenceError);
+  const auto r = internal::at_boundary<double>([&]() -> rlc::StatusOr<double> {
+    return delay_per_length(tech.rep, line, 1e100, 100.0);
+  });
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), rlc::StatusCode::kNoConvergence);
+  EXPECT_EQ(r.status().message(), "delay_per_length: delay solve failed");
 }
 
 TEST(Delay, IncreasesWithInductanceAtFixedSizing) {

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <random>
 
-#include "rlc/math/derivative.hpp"
+#include "support/derivative.hpp"
 
 namespace rlc::core {
 namespace {
@@ -43,8 +43,9 @@ TEST(Elmore, ClosedFormIsTheTrueMinimum) {
   const auto dpl_k = [&](double k) {
     return elmore_segment_delay(tech.rep, tech.r, tech.c, o.h, k) / o.h;
   };
-  EXPECT_NEAR(rlc::math::central_diff(dpl_h, o.h) * o.h / dpl_h(o.h), 0.0, 1e-6);
-  EXPECT_NEAR(rlc::math::central_diff(dpl_k, o.k) * o.k / dpl_k(o.k), 0.0, 1e-6);
+  using rlc::testing::central_diff;
+  EXPECT_NEAR(central_diff(dpl_h, o.h) * o.h / dpl_h(o.h), 0.0, 1e-6);
+  EXPECT_NEAR(central_diff(dpl_k, o.k) * o.k / dpl_k(o.k), 0.0, 1e-6);
 }
 
 TEST(Elmore, TauIndependentOfWireLevel) {

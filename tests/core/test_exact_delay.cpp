@@ -107,6 +107,40 @@ TEST(ExactEngine, MatchesLegacyWithTenfoldFewerTransferEvals) {
   }
 }
 
+TEST(ExactEngine, LegacyBisectionMatchesTheMemoizedReference) {
+  // The legacy bisection inverts the engine's batch integrand.  On the
+  // acceptance grid above its delays must match the values it produced on
+  // the former memoized per-point evaluator (recorded below, f = 0.5):
+  // changing the evaluator must not move the reference.  The RLC cases
+  // agree to ~1e-15.  The RC (l = 0) cases differ by up to 2.1e-11
+  // relative because the batch and per-point Talbot sums round differently
+  // (the contour sum cancels terms up to exp(2M/5) ~ 2e8 down to O(1), and
+  // the two per-t values differ by ~2e-11 absolute there), so the bound is
+  // 1e-10: five times that floor, and seven decades inside the engine's
+  // 1e-3 accuracy budget against this reference.
+  const struct {
+    Technology tech;
+    double l, delay;
+  } cases[] = {
+      {Technology::nm250(), 0.0, 2.386127269841477e-10},
+      {Technology::nm250(), 1e-6, 3.1354678707276858e-10},
+      {Technology::nm250(), 3e-6, 4.7184470173017827e-10},
+      {Technology::nm100(), 0.0, 8.3440719982633757e-11},
+      {Technology::nm100(), 1e-6, 1.6301477591141915e-10},
+      {Technology::nm100(), 3e-6, 2.6140354579278367e-10},
+  };
+  ExactOptions legacy;
+  legacy.legacy_bisection = true;
+  for (const auto& ref : cases) {
+    const auto c = engine_case(ref.tech, ref.l);
+    const auto d =
+        exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, legacy);
+    ASSERT_TRUE(d.has_value()) << ref.tech.name << " l = " << ref.l;
+    EXPECT_NEAR(*d, ref.delay, 1e-10 * ref.delay)
+        << ref.tech.name << " l = " << ref.l;
+  }
+}
+
 TEST(ExactEngine, WindowedWaveformMatchesPerT) {
   // Damped lines: shared-contour windows reproduce the per-t inversion.
   // On strongly ringing lines BOTH fixed-Talbot paths carry a ~1e-2

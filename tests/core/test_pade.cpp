@@ -5,8 +5,8 @@
 #include <cmath>
 #include <tuple>
 
-#include "rlc/math/derivative.hpp"
 #include "rlc/tline/transfer.hpp"
+#include "support/derivative.hpp"
 
 namespace rlc::core {
 namespace {
@@ -86,10 +86,10 @@ TEST_P(PadeDerivSweep, AnalyticDerivativesMatchFiniteDifferences) {
   const auto b2_of_k = [&](double kk) {
     return pade_coeffs_hk(tech.rep, line, h, kk).b2;
   };
-  const double fd_b1h = rlc::math::richardson_diff(b1_of_h, h);
-  const double fd_b2h = rlc::math::richardson_diff(b2_of_h, h);
-  const double fd_b1k = rlc::math::richardson_diff(b1_of_k, k);
-  const double fd_b2k = rlc::math::richardson_diff(b2_of_k, k);
+  const double fd_b1h = rlc::testing::richardson_diff(b1_of_h, h);
+  const double fd_b2h = rlc::testing::richardson_diff(b2_of_h, h);
+  const double fd_b1k = rlc::testing::richardson_diff(b1_of_k, k);
+  const double fd_b2k = rlc::testing::richardson_diff(b2_of_k, k);
   EXPECT_NEAR(d.db1_dh, fd_b1h, 1e-6 * std::abs(fd_b1h));
   EXPECT_NEAR(d.db2_dh, fd_b2h, 1e-6 * std::abs(fd_b2h));
   EXPECT_NEAR(d.db1_dk, fd_b1k, 1e-5 * std::abs(fd_b1k) + 1e-30);

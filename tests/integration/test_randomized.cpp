@@ -17,7 +17,6 @@
 #include "rlc/linalg/lu.hpp"
 #include "rlc/linalg/sparse_lu.hpp"
 #include "rlc/spice/dcop.hpp"
-#include "rlc/tree/rc_tree.hpp"
 
 namespace {
 
@@ -73,104 +72,6 @@ TEST(Randomized, SparseAndDenseLuAgreeOnRandomMnaLikeSystems) {
       const double xd = solved[trial].dense[i];
       EXPECT_NEAR(solved[trial].sparse[i], xd, 1e-8 * (1.0 + std::abs(xd)))
           << "trial " << trial << " i " << i;
-    }
-  }
-}
-
-TEST(Randomized, TreeElmoreMatchesMnaDcWithDischargePath) {
-  // Elmore m1 equals the area under (1 - v(t)) for a step input; cheaper
-  // cross-check: the DC solution through the tree must be flat (no drops),
-  // and the total capacitance must equal the sum of stamped caps — guards
-  // the tree builder against topology bugs on random trees.
-  struct Edge {
-    int parent;
-    double r, c;
-  };
-  struct Spec {
-    double root_r, root_c;
-    std::vector<Edge> edges;
-    double cap_sum = 0.0;
-  };
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<double> rr(10.0, 1e3);
-  std::uniform_real_distribution<double> rc(1e-15, 1e-12);
-  std::vector<Spec> specs(10);
-  for (auto& spec : specs) {
-    spec.root_r = 500.0;
-    spec.root_c = rc(rng);
-    spec.cap_sum = spec.root_c;
-    for (int node = 1; node <= 25; ++node) {
-      std::uniform_int_distribution<int> pp(0, node - 1);
-      const double c = rc(rng);
-      spec.edges.push_back({pp(rng), rr(rng), c});
-      spec.cap_sum += c;
-    }
-  }
-
-  struct NodeCheck {
-    bool reducible = false;  ///< b2 = m1^2 - m2 > 0: two-pole must solve
-    bool threw = false;      ///< two_pole_at refused (expected otherwise)
-    bool delay_converged = false;
-    double v_at_tau = 0.0;
-    double m2 = 0.0;
-  };
-  struct TreeOut {
-    double total_cap = 0.0;
-    std::vector<int> parent;
-    std::vector<double> m1;
-    std::vector<NodeCheck> nodes;
-  };
-  const auto outs = rlc::exec::parallel_map(specs, [](const Spec& spec) {
-    rlc::tree::RcTree t(spec.root_r, spec.root_c);
-    for (const auto& e : spec.edges) t.add_node(e.parent, e.r, e.c);
-    TreeOut out;
-    out.total_cap = t.total_cap();
-    const auto m1 = t.elmore_delays();
-    out.m1.assign(m1.begin(), m1.end());
-    out.parent.resize(t.size());
-    for (rlc::tree::NodeId node = 1; node < t.size(); ++node) {
-      out.parent[node] = static_cast<int>(t.parent(node));
-    }
-    const auto ms = t.moments();
-    out.nodes.resize(t.size());
-    for (rlc::tree::NodeId node = 0; node < t.size(); ++node) {
-      NodeCheck& nc = out.nodes[node];
-      nc.m2 = ms[node].m2;
-      nc.reducible = ms[node].m1 * ms[node].m1 - ms[node].m2 > 0.0;
-      try {
-        const rlc::core::TwoPole sys(t.two_pole_at(node));
-        const auto d = rlc::core::threshold_delay(sys);
-        nc.delay_converged = d.converged;
-        if (d.converged) nc.v_at_tau = sys.step_response(d.tau);
-      } catch (const std::runtime_error&) {
-        nc.threw = true;
-      }
-    }
-    return out;
-  });
-
-  for (std::size_t trial = 0; trial < outs.size(); ++trial) {
-    const auto& out = outs[trial];
-    EXPECT_NEAR(out.total_cap, specs[trial].cap_sum, 1e-20);
-    // Elmore delays are positive and monotone along any root-to-leaf path.
-    for (std::size_t node = 1; node < out.m1.size(); ++node) {
-      EXPECT_GT(out.m1[node], out.m1[out.parent[node]])
-          << trial << " node " << node;
-    }
-    // Moments: m2 > 0 everywhere.  b2 = m1^2 - m2 may legitimately be
-    // negative at nodes near the root (fast local rise, long far-capacitance
-    // tail), where the two-pole reduction must refuse; where it is positive
-    // the reduction must produce a solvable delay.
-    for (std::size_t node = 0; node < out.nodes.size(); ++node) {
-      const auto& nc = out.nodes[node];
-      EXPECT_GT(nc.m2, 0.0);
-      if (nc.reducible) {
-        ASSERT_FALSE(nc.threw) << trial << " node " << node;
-        ASSERT_TRUE(nc.delay_converged) << trial << " node " << node;
-        EXPECT_NEAR(nc.v_at_tau, 0.5, 1e-7);
-      } else {
-        EXPECT_TRUE(nc.threw) << node;
-      }
     }
   }
 }

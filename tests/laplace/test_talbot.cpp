@@ -87,17 +87,32 @@ TEST(Talbot, InputValidation) {
 
 // ---- Shared-contour window inversion (TalbotContour). ----
 
+/// Span-of-nodes form of a per-point transform: the shared-contour window
+/// takes only the BatchLaplaceFnRef signature.
+template <typename F>
+auto span_of(F f) {
+  return [f](const double* sr, const double* si, double* fr, double* fi,
+             std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const cplx v = f(cplx{sr[i], si[i]});
+      fr[i] = v.real();
+      fi[i] = v.imag();
+    }
+  };
+}
+
 TEST(TalbotWindow, MatchesPerTInversionAcrossTheWindow) {
   // One contour fixed at t_max must reproduce the per-t inversion for every
   // time in [t_max/lambda, t_max], including the window foot.
   const double a = 3.0;
-  const LaplaceFn F = [a](cplx s) { return 1.0 / (s * (s + a)) * a; };
+  const auto F = [a](cplx s) { return 1.0 / (s * (s + a)) * a; };
   const double t_max = 2.0, lambda = 4.0;
   std::vector<double> times;
   for (int i = 0; i <= 16; ++i) {
     times.push_back(t_max / lambda * std::pow(lambda, i / 16.0));
   }
-  const auto windowed = talbot_invert_window(F, times, t_max, 48, lambda);
+  const auto windowed =
+      talbot_invert_window(span_of(F), times, t_max, 48, lambda);
   ASSERT_EQ(windowed.size(), times.size());
   for (std::size_t i = 0; i < times.size(); ++i) {
     const double exact = 1.0 - std::exp(-a * times[i]);
@@ -111,11 +126,11 @@ TEST(TalbotWindow, ContourCountsCostAndEvaluates) {
   // Construction samples F exactly M times; eval() afterwards is free of
   // further transfer evaluations.
   int calls = 0;
-  const LaplaceFn F = [&calls](cplx s) {
+  const auto F = [&calls](cplx s) {
     ++calls;
     return 1.0 / (s + 1.0);
   };
-  const TalbotContour contour(F, 1.0, 32);
+  const TalbotContour contour(span_of(F), 1.0, 32);
   EXPECT_EQ(calls, 32);
   EXPECT_EQ(contour.points(), 32);
   EXPECT_DOUBLE_EQ(contour.t_max(), 1.0);
@@ -130,8 +145,8 @@ TEST(TalbotWindow, FootAccuracyDegradesGracefully) {
   // top, where exp(Re s * t) roundoff amplification is largest, is a few
   // 1e-9 at M = 48); an oscillatory F with poles off the negative real
   // axis is where the foot visibly degrades, yet stays within ~1e-5.
-  const LaplaceFn F = [](cplx s) { return 1.0 / (s + 1.0); };
-  const TalbotContour contour(F, 4.0, 48);
+  const auto F = [](cplx s) { return 1.0 / (s + 1.0); };
+  const TalbotContour contour(span_of(F), 4.0, 48);
   const double err_top = std::abs(contour.eval(4.0) - std::exp(-4.0));
   const double err_foot = std::abs(contour.eval(1.0) - std::exp(-1.0));
   EXPECT_LT(err_top, 2e-8);
@@ -141,11 +156,11 @@ TEST(TalbotWindow, FootAccuracyDegradesGracefully) {
   // far off the negative real axis relative to the contour radius.  This
   // is the regime where sharing a contour costs accuracy: the anchor time
   // converges while the foot visibly degrades.
-  const LaplaceFn G = [](cplx s) {
+  const auto G = [](cplx s) {
     return 15.0 / ((s + 1.0) * (s + 1.0) + 225.0);
   };
   const auto g = [](double t) { return std::exp(-t) * std::sin(15.0 * t); };
-  const TalbotContour osc(G, 4.0, 48);
+  const TalbotContour osc(span_of(G), 4.0, 48);
   const double osc_top = std::abs(osc.eval(4.0) - g(4.0));
   const double osc_foot = std::abs(osc.eval(1.0) - g(1.0));
   EXPECT_LT(osc_top, 0.02);
@@ -184,7 +199,7 @@ TEST(TalbotBatch, InvertMatchesPerPoint) {
   int calls = 0;
   std::size_t nodes = 0;
   const BatchPole batch{a, &calls, &nodes};
-  const LaplaceFn point = [a](cplx s) { return 1.0 / (s + a); };
+  const auto point = [a](cplx s) { return 1.0 / (s + a); };
   for (double t : {0.05, 0.3, 1.0, 2.0}) {
     const double got = talbot_invert(BatchLaplaceFnRef(batch), t, 48);
     EXPECT_NEAR(got, std::exp(-a * t), 1e-7) << t;
@@ -196,15 +211,15 @@ TEST(TalbotBatch, InvertMatchesPerPoint) {
 
 TEST(TalbotBatch, ContourMatchesPerPointConstruction) {
   // A TalbotContour built from the batch evaluator carries the same cached
-  // samples as one built per-point: eval() agrees bit-for-bit across the
-  // whole window.
+  // samples as one built from a per-point transform: eval() agrees
+  // bit-for-bit across the whole window.
   const double a = 3.0;
   int calls = 0;
   std::size_t nodes = 0;
   const BatchPole batch{a, &calls, &nodes};
-  const LaplaceFn point = [a](cplx s) { return 1.0 / (s + a); };
+  const auto point = [a](cplx s) { return 1.0 / (s + a); };
   const TalbotContour from_batch(BatchLaplaceFnRef(batch), 2.0, 48);
-  const TalbotContour from_point(LaplaceFnRef(point), 2.0, 48);
+  const TalbotContour from_point(span_of(point), 2.0, 48);
   EXPECT_EQ(calls, 1);       // one span call covers the whole contour
   EXPECT_EQ(nodes, 48u);
   for (double t : {0.5, 0.9, 1.4, 2.0}) {
@@ -225,23 +240,24 @@ TEST(TalbotBatch, VectorTimesOverload) {
 }
 
 TEST(TalbotWindow, RejectsTimesOutsideTheWindow) {
-  const LaplaceFn F = [](cplx s) { return 1.0 / s; };
+  const auto F = [](cplx s) { return 1.0 / s; };
   // lambda < 1 is rejected outright.
-  EXPECT_THROW(talbot_invert_window(F, {1.0}, 1.0, 48, 0.5),
+  const auto G = span_of(F);
+  EXPECT_THROW(talbot_invert_window(G, {1.0}, 1.0, 48, 0.5),
                std::invalid_argument);
   // Times below t_max/lambda or above t_max are rejected, not silently
   // extrapolated into the inaccurate deep-foot regime.
-  EXPECT_THROW(talbot_invert_window(F, {0.1}, 1.0, 48, 4.0),
+  EXPECT_THROW(talbot_invert_window(G, {0.1}, 1.0, 48, 4.0),
                std::invalid_argument);
-  EXPECT_THROW(talbot_invert_window(F, {1.5}, 1.0, 48, 4.0),
+  EXPECT_THROW(talbot_invert_window(G, {1.5}, 1.0, 48, 4.0),
                std::invalid_argument);
-  EXPECT_NO_THROW(talbot_invert_window(F, {0.25, 1.0}, 1.0, 48, 4.0));
+  EXPECT_NO_THROW(talbot_invert_window(G, {0.25, 1.0}, 1.0, 48, 4.0));
   // TalbotContour itself enforces (0, t_max].
-  const TalbotContour contour(F, 1.0, 32);
+  const TalbotContour contour(G, 1.0, 32);
   EXPECT_THROW(contour.eval(0.0), std::invalid_argument);
   EXPECT_THROW(contour.eval(1.1), std::invalid_argument);
-  EXPECT_THROW(TalbotContour(F, 0.0, 32), std::invalid_argument);
-  EXPECT_THROW(TalbotContour(F, 1.0, 3), std::invalid_argument);
+  EXPECT_THROW(TalbotContour(G, 0.0, 32), std::invalid_argument);
+  EXPECT_THROW(TalbotContour(G, 1.0, 3), std::invalid_argument);
 }
 
 }  // namespace

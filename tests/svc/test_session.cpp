@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -441,6 +442,24 @@ TEST(Session, InvalidRequestAndUnknownTechnologyAreTypedErrors) {
   unknown.technology = "7nm_finfet_magic";
   EXPECT_EQ(session.submit(unknown).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(Session, UnrealizableBusIsInvalidArgumentNamingTheBound) {
+  // A 3-conductor bus is realizable only for |km| < 1/sqrt2: past it the
+  // inductance matrix is not positive definite.  The answer is a typed
+  // invalid_argument that names the bound, and just inside it is ok.
+  Session session(SessionOptions{1, 0});
+  QueryRequest q = coupled_request("100nm", 3);
+  q.coupling_km = 0.75;
+  const auto bad = session.submit(q);
+  ASSERT_FALSE(bad.is_ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("|km| * 2cos(pi/(n+1)) < 1"),
+            std::string::npos)
+      << bad.status().message();
+  q.coupling_km = 0.70;
+  const auto ok = session.submit(q);
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
 }
 
 TEST(Session, RunScenarioHonorsRegistryAndDeadline) {

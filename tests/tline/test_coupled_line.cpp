@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace {
 
@@ -113,10 +115,41 @@ TEST(CoupledLine, ValidateRejectsBadInput) {
 }
 
 TEST(CoupledLine, StrongMutualOnWideBusThrowsUnphysicalMode) {
-  // n = 3: extreme adjacency eigenvalue sqrt2, so km = 0.8 drives the
-  // fastest mode's inductance l (1 - 0.8 sqrt2) < 0.
+  // n = 3: extreme adjacency eigenvalue sqrt2, so km = 0.8 would drive the
+  // fastest mode's inductance l (1 - 0.8 sqrt2) < 0; symmetric_bus
+  // already rejects the unrealizable L.
   EXPECT_THROW(modal_decomposition(symmetric_bus(kBase, 0.1 * kBase.c, 0.8, 3)),
                std::domain_error);
+}
+
+TEST(CoupledLine, SymmetricBusEnforcesTheRealizabilityBound) {
+  // L = l (I + km A) is positive definite iff |km| 2cos(pi/(n+1)) < 1:
+  // |km| < 1 for n = 2, < 1/sqrt2 for n = 3, < 0.532 for n = 8.
+  const double cc = 0.1 * kBase.c;
+  EXPECT_NO_THROW(symmetric_bus(kBase, cc, 0.99, 2));
+  EXPECT_NO_THROW(symmetric_bus(kBase, cc, 0.70, 3));
+  EXPECT_NO_THROW(symmetric_bus(kBase, cc, -0.70, 3));
+  EXPECT_NO_THROW(symmetric_bus(kBase, cc, 0.53, 8));
+  EXPECT_THROW(symmetric_bus(kBase, cc, 0.54, 8), std::domain_error);
+  EXPECT_THROW(symmetric_bus(kBase, cc, -0.75, 3), std::domain_error);
+  try {
+    symmetric_bus(kBase, cc, 0.75, 3);
+    ADD_FAILURE() << "km = 0.75 accepted on a 3-conductor bus";
+  } catch (const std::domain_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("|km| * 2cos(pi/(n+1)) < 1"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("0.707107"), std::string::npos) << what;
+  }
+  // Every accepted bus has a realizable modal picture: all modal
+  // inductances positive just inside the bound.
+  for (std::size_t n = 2; n <= 8; ++n) {
+    const double bound = 0.5 / std::cos(M_PI / (n + 1.0));
+    const double km = 0.99 * std::min(bound, 1.0);
+    const ModalDecomposition d =
+        modal_decomposition(symmetric_bus(kBase, cc, km, n));
+    for (const auto& mode : d.modes) EXPECT_GT(mode.l, 0.0) << "n = " << n;
+  }
 }
 
 TEST(CoupledLine, NonCommutingPairThrows) {
