@@ -2,9 +2,9 @@
 ///
 /// Replaces the 19 per-figure/table/ablation/perf binaries: each experiment
 /// is a named scenario in rlc::scenario::ScenarioRegistry, and this driver
-/// selects, runs (fanning independent scenarios over the rlc::exec pool),
-/// renders the human tables, and optionally writes one schema-versioned
-/// BENCH_<name>.json artifact per scenario.
+/// selects, runs (one scenario at a time; each parallelises internally on
+/// the rlc::exec pool), renders the human tables, and optionally writes one
+/// schema-versioned BENCH_<name>.json artifact per scenario.
 ///
 ///   rlc_run --list                     # what can run
 ///   rlc_run fig4 fig7                  # run selected scenarios
@@ -42,7 +42,6 @@ void usage(std::FILE* out) {
                "  --quick         reduced grids (CI smoke runs)\n"
                "  --json DIR      write BENCH_<name>.json per scenario into DIR\n"
                "  --threads N     pool size (sets RLC_NUM_THREADS)\n"
-               "  --serial        run selected scenarios one at a time\n"
                "  --spec FILE     JSON ScenarioSpec overriding the defaults\n"
                "                  (requires exactly one scenario name)\n"
                "  --trace FILE    capture spans, write Chrome trace-event JSON\n"
@@ -51,9 +50,9 @@ void usage(std::FILE* out) {
                "  --progress      throttled [done/total] line on stderr\n"
                "  --help          this text\n"
                "\n"
-               "Scenarios run concurrently on the rlc::exec pool (results are\n"
-               "deterministic for any thread count); use --serial for clean\n"
-               "perf_* timings.\n");
+               "Scenarios run one at a time, each in parallel on the pool\n"
+               "(deterministic for any thread count), so every wall time and\n"
+               "metrics delta belongs to one scenario.\n");
 }
 
 void list_scenarios() {
@@ -72,7 +71,7 @@ void list_scenarios() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool list = false, all = false, quick = false, serial = false;
+  bool list = false, all = false, quick = false;
   bool metrics = false, progress = false;
   std::string json_dir, spec_file, threads_arg, trace_file;
   std::vector<std::string> selected;
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
     if (arg == "--list") list = true;
     else if (arg == "--all") all = true;
     else if (arg == "--quick") quick = true;
-    else if (arg == "--serial") serial = true;
     else if (arg == "--json") json_dir = value("--json");
     else if (arg == "--spec") spec_file = value("--spec");
     else if (arg == "--threads") threads_arg = value("--threads");
@@ -200,10 +198,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Run.  Independent scenarios fan over the shared pool (their internal
-  // sweeps nest on the same pool; leaf loops always make progress, so this
-  // cannot deadlock).  A failing scenario becomes an error result instead of
-  // taking the whole run down.
+  // Run one scenario at a time, so each one's wall time and metrics delta
+  // are its own; a scenario's sweeps still fan over the shared pool.  A
+  // failing scenario becomes an error result instead of taking the whole
+  // run down.
   // Arm the tracer before any scenario runs so every span of the run is
   // captured; numerical results are bit-identical either way (pinned by
   // tests/obs).
@@ -211,7 +209,7 @@ int main(int argc, char** argv) {
 
   std::vector<rlc::scenario::ScenarioResult> results(scenarios.size());
   rlc::obs::Progress meter(scenarios.size(), progress);
-  auto run_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
     try {
       results[i] = rlc::scenario::run_scenario(*scenarios[i], specs[i]);
     } catch (const std::exception& e) {
@@ -222,12 +220,6 @@ int main(int argc, char** argv) {
       results[i].error = e.what();
     }
     meter.tick(scenarios[i]->name);
-  };
-  if (serial || scenarios.size() == 1) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) run_one(i);
-  } else {
-    rlc::exec::default_pool().parallel_for(scenarios.size(), run_one,
-                                           /*grain=*/1);
   }
   meter.finish();
 

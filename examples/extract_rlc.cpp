@@ -1,8 +1,8 @@
-/// RLC extraction from geometry: compute per-unit-length r, l, c for a
-/// top-metal bus cross-section using the extraction substrate (BEM
-/// capacitance, partial/loop inductance, sheet resistance), then show the
-/// inductance *uncertainty* caused by the unknown current return path —
-/// the reason the paper treats l as a swept parameter.
+/// RC extraction from geometry: compute per-unit-length r and c for a
+/// top-metal bus cross-section using the extraction substrate (sheet
+/// resistance, BEM capacitance).  l is not extracted: it depends on the
+/// unknown current return path, which is why the paper treats it as a
+/// parameter swept over 0..5 nH/mm.
 ///
 ///   $ ./extract_rlc [width_um] [pitch_um] [thickness_um] [height_um] [eps_r]
 
@@ -10,7 +10,6 @@
 #include <cstdlib>
 
 #include "rlc/extract/bem2d.hpp"
-#include "rlc/extract/inductance.hpp"
 #include "rlc/extract/resistance.hpp"
 #include "rlc/math/constants.hpp"
 
@@ -43,19 +42,8 @@ int main(int argc, char** argv) {
   std::printf("\nc (2D BEM, middle wire):  %7.1f pF/m  (ground %.1f + 2 x %.1f coupling)\n",
               c_bem * 1e12, cg * 1e12, cc * 1e12);
 
-  // --- Inductance: the return-path problem ---
-  std::printf("\nl depends on the current return path (Section 1.1):\n");
-  std::printf("  return in adjacent wire (pitch):        %6.2f nH/mm\n",
-              loop_inductance_wire_pair(w, t, pitch) * 1e6);
-  std::printf("  return in substrate plane (h):          %6.2f nH/mm\n",
-              loop_inductance_over_plane(w, t, h) * 1e6);
-  std::printf("  return in a quiet wire 100 um away:     %6.2f nH/mm\n",
-              loop_inductance_wire_pair(w, t, 100e-6) * 1e6);
-  std::printf("  return in a quiet wire 500 um away:     %6.2f nH/mm\n",
-              loop_inductance_wire_pair(w, t, 500e-6) * 1e6);
-  std::printf("  partial self (10 mm segment, no return):%6.2f nH/mm\n",
-              partial_self_per_length(10e-3, w, t) * 1e6);
-  std::printf("\nThis order-of-magnitude spread is why the optimization study sweeps\n"
-              "l over 0..5 nH/mm instead of fixing a single extracted value.\n");
+  std::printf("\nl is not extracted: it depends on the current return path "
+              "(Section 1.1),\nso the optimization study sweeps l over "
+              "0..5 nH/mm.\n");
   return 0;
 }

@@ -14,7 +14,7 @@
 ///   * rlc::Status / rlc::StatusOr<T>, rlc::version()  (rlc/base)
 ///   * cancellation tokens + deadlines                 (rlc/base/cancel.hpp)
 ///   * the typed optimize() entry point + Pareto sweep (rlc/core/optimize_api.hpp)
-///   * its thin legacy wrappers                        (rlc/core/optimizer.hpp)
+///   * the scalar (h,k) kernels it dispatches to       (rlc/core/optimizer.hpp)
 ///   * the repeater-chain power models                 (rlc/core/power.hpp)
 ///   * ScenarioSpec/ScenarioResult + the registry      (rlc/scenario)
 ///   * Session / Server — the query service            (rlc/svc)

@@ -71,6 +71,29 @@ MNA_COUNTERS = (
     "linalg.lu.refactor_columns",
 )
 
+# Every scenario whose body reaches spice::run_transient (the only code
+# that publishes MNA_COUNTERS: the transient loop and the SolveWorkspace it
+# owns; DC operating points also own one, but only transients and AC
+# analyses with compute_dc_op call them, and no scenario runs such an AC):
+#   simulate_ring            fig9_10, fig11, fig12 (scenarios_ring.cpp)
+#   spice_delay              ablation_ladder (scenarios_ablation.cpp)
+#   run_coupled_step         ext_crosstalk (scenarios_ext.cpp) and, via
+#                            run_mna, xtalk_quiet/_inphase/_antiphase
+#   the MNA step fixture     perf_solvers (scenarios_perf.cpp)
+# rlc_run runs scenarios one at a time, so every other scenario's metrics
+# delta must carry none of MNA_COUNTERS.
+TRANSIENT_SCENARIOS = MNA_SCENARIOS | {
+    "ablation_ladder", "ext_crosstalk", "perf_solvers",
+    "xtalk_quiet", "xtalk_inphase", "xtalk_antiphase",
+}
+
+# The converse: the ring bodies (scenarios_ring.cpp) call only rc_optimum
+# and simulate_ring, never the (h, k) optimizer or the exact engine, so a
+# ring scenario's delta must carry none of their counter families.
+OPTIMIZER_AND_EXACT_PREFIXES = (
+    "optimizer.", "newton.2d.", "exact.", "talbot.", "euler.", "tline.",
+)
+
 errors = []
 
 
@@ -183,11 +206,19 @@ def check_observability(name, o):
     if o["tracing"] and not o["spans"]:
         err(name, "tracing was on but the span rollup is empty")
     if name in MNA_SCENARIOS:
-        # Presence only: under --all the deltas include concurrent
-        # scenarios, so cross-counter ratios are not exact here.
         for key in MNA_COUNTERS:
             if not m["counters"].get(key, 0) > 0:
                 err(name, f"MNA counter {key!r} missing or zero")
+        leaked = [key for key in m["counters"]
+                  if key.startswith(OPTIMIZER_AND_EXACT_PREFIXES)]
+    elif name not in TRANSIENT_SCENARIOS:
+        leaked = [key for key in MNA_COUNTERS if key in m["counters"]]
+    else:
+        leaked = []
+    if leaked:
+        err(name, f"reports {sorted(leaked)}, which its body never "
+                  "reaches: the metrics delta includes another scenario's "
+                  "work")
 
 
 def check_telemetry(name, t):

@@ -98,24 +98,6 @@ std::optional<double> exact_threshold_delay(const tline::LineParams& line,
                                             const ExactOptions& opts,
                                             ExactStats* stats = nullptr);
 
-/// Back-compat overload: talbot_points feeds ExactOptions::talbot_points;
-/// the engine path is used.
-std::optional<double> exact_threshold_delay(const tline::LineParams& line,
-                                            double h,
-                                            const tline::DriverLoad& dl,
-                                            double tau_scale, double f = 0.5,
-                                            int talbot_points = 48);
-
-/// Convenience overloads on a technology and repeater size.
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f = 0.5);
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f,
-                                            const ExactOptions& opts,
-                                            ExactStats* stats = nullptr);
-
 /// Switching pattern of a coupled bus: per-conductor far-end voltages
 /// before (initial, the settled pre-switch state) and after (target) the
 /// step at t = 0.  Quiet victim: initial = target on the victim conductor;

@@ -86,7 +86,7 @@ std::vector<double> log_grid(double ref, double scale_min, double scale_max,
                              int points);
 
 /// One typed optimizer request.  The delay-objective defaults reproduce
-/// try_optimize_rlc(tech, l, optim) exactly.
+/// optimize_rlc(tech, l, optim) bit for bit.
 struct OptimizeRequest {
   Objective objective = Objective::kDelay;
   double l = 0.0;                   ///< per-unit-length inductance [H/m]

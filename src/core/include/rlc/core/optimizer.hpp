@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "rlc/base/status.hpp"
 #include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/pade.hpp"
@@ -87,14 +86,9 @@ OptimResult optimize_rlc(const Repeater& rep, const tline::LineParams& line,
 OptimResult optimize_rlc(const Technology& tech, double l,
                          const OptimOptions& opts = {});
 
-/// Sweep over inductance values with warm starts (each solve starts from the
-/// previous optimum, the natural continuation for Figures 4-8).
-std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
-                                            const std::vector<double>& l_values,
-                                            const OptimOptions& opts = {});
-
-/// Execution policy for optimize_rlc_sweep: serial continuation (the
-/// reference path above) or the chunked-continuation parallel path.
+/// Execution policy for optimize_rlc_sweep: serial warm-start continuation
+/// (each solve starts from the previous optimum, the natural continuation
+/// for Figures 4-8) or the chunked-continuation parallel path.
 ///
 /// The parallel path preserves warm-start semantics in two phases: a serial
 /// pre-pass runs the continuation over every `chunk`-th point only,
@@ -112,39 +106,9 @@ struct SweepOptions {
   exec::Counters* counters = nullptr;  ///< optional instrumentation sink
 };
 
+/// Optimize every l in l_values; results in input order.
 std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
                                             const std::vector<double>& l_values,
                                             const SweepOptions& sweep);
-
-// ---------------------------------------------------------------------------
-// Checked entry points (the public boundary — see DESIGN.md "Errors").
-//
-// The single typed entry point is rlc::core::optimize(OptimizeRequest)
-// (optimize_api.hpp); it owns every constrained and coupled solve.  The
-// functions below are the checked forms of the scalar kernels above:
-// try_optimize_rlc forwards to optimize() with objective kDelay, and
-// try_optimize_rlc_sweep runs the warm-started sweep.  Both validate up
-// front (invalid_argument), translate non-convergence into a typed Status
-// (no_convergence), honor the cooperative cancellation scope (cancelled /
-// deadline_exceeded), and catch everything else at the boundary
-// (internal).  No exception escapes them.
-
-/// Validate an optimization request: finite l >= 0, f in (0, 1),
-/// max_iterations >= 1, residual_tolerance > 0.
-rlc::Status validate_optim_request(double l, const OptimOptions& opts);
-
-/// Checked optimize_rlc: Status instead of a converged flag or a throw.
-/// Wrapper over optimize() with objective kDelay and conductors == 1;
-/// answers are bit-identical to the unified entry point's sizing.
-rlc::StatusOr<OptimResult> try_optimize_rlc(const Technology& tech, double l,
-                                            const OptimOptions& opts = {});
-
-/// Checked sweep.  Per-point non-convergence stays visible in each
-/// element's `converged` flag (a sweep with a hole is still an answer);
-/// only invalid arguments, cancellation/deadline, and internal errors turn
-/// into a non-ok Status.
-rlc::StatusOr<std::vector<OptimResult>> try_optimize_rlc_sweep(
-    const Technology& tech, const std::vector<double>& l_values,
-    const SweepOptions& sweep = {});
 
 }  // namespace rlc::core

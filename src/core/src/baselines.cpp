@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "rlc/base/status.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/core/optimizer.hpp"
 #include "rlc/math/brent.hpp"
@@ -21,7 +22,8 @@ double critically_damped_delay(const PadeCoeffs& pc, double f) {
   };
   const auto r = rlc::math::brent_root(g, 0.0, 50.0, 1e-14);
   if (!r.converged) {
-    throw std::runtime_error("critically_damped_delay: root solve failed");
+    throw rlc::NoConvergenceError(
+        "critically_damped_delay: root solve failed");
   }
   // Critically damped pole s = -2/b1, so tau = x / |s| = x b1 / 2.
   return 0.5 * r.x * pc.b1;

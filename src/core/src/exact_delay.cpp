@@ -603,32 +603,6 @@ std::optional<double> exact_threshold_delay(const tline::LineParams& line,
   return out;
 }
 
-std::optional<double> exact_threshold_delay(const tline::LineParams& line,
-                                            double h,
-                                            const tline::DriverLoad& dl,
-                                            double tau_scale, double f,
-                                            int talbot_points) {
-  ExactOptions opts;
-  opts.talbot_points = talbot_points;
-  return exact_threshold_delay(line, h, dl, tau_scale, f, opts);
-}
-
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f) {
-  return exact_threshold_delay(tech.line(l), h, tech.rep.scaled(k), tau_scale,
-                               f);
-}
-
-std::optional<double> exact_threshold_delay(const Technology& tech, double l,
-                                            double h, double k,
-                                            double tau_scale, double f,
-                                            const ExactOptions& opts,
-                                            ExactStats* stats) {
-  return exact_threshold_delay(tech.line(l), h, tech.rep.scaled(k), tau_scale,
-                               f, opts, stats);
-}
-
 std::vector<std::optional<double>> exact_sweep(
     const std::vector<ExactSweepTask>& tasks, const ExactSweepOptions& opts) {
   struct TaskOut {

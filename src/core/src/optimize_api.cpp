@@ -33,6 +33,25 @@ std::string fmt(double v) {
   return buf;
 }
 
+/// The scalar solver's own arguments: finite l >= 0, f in (0, 1),
+/// max_iterations >= 1, residual_tolerance > 0.
+rlc::Status validate_optim_request(double l, const OptimOptions& opts) {
+  if (!std::isfinite(l) || l < 0.0) {
+    return rlc::Status::invalid_argument(
+        "inductance l must be finite and >= 0");
+  }
+  if (!(opts.f > 0.0 && opts.f < 1.0)) {
+    return rlc::Status::invalid_argument("threshold f must be in (0, 1)");
+  }
+  if (opts.max_iterations < 1) {
+    return rlc::Status::invalid_argument("max_iterations must be >= 1");
+  }
+  if (!(opts.residual_tolerance > 0.0)) {
+    return rlc::Status::invalid_argument("residual_tolerance must be > 0");
+  }
+  return rlc::Status::ok();
+}
+
 }  // namespace
 
 CentreAggressorBus centre_aggressor_bus(const tline::LineParams& line,

@@ -11,12 +11,10 @@
 #include <string>
 
 #include "rlc/base/status.hpp"
-#include "rlc/core/optimize_api.hpp"
 #include "rlc/math/nelder_mead.hpp"
 #include "rlc/math/newton.hpp"
 #include "rlc/obs/metrics.hpp"
 #include "rlc/obs/trace.hpp"
-#include "status_boundary.hpp"
 
 namespace rlc::core {
 
@@ -265,24 +263,6 @@ OptimResult optimize_rlc(const Technology& tech, double l,
   return optimize_rlc(tech.rep, tech.line(l), opts);
 }
 
-std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
-                                            const std::vector<double>& l_values,
-                                            const OptimOptions& opts) {
-  std::vector<OptimResult> out;
-  out.reserve(l_values.size());
-  OptimOptions cur = opts;
-  for (double l : l_values) {
-    const OptimResult r = optimize_rlc(tech, l, cur);
-    out.push_back(r);
-    if (r.converged) {
-      // Warm-start the next solve (continuation in l).
-      cur.h0 = r.h;
-      cur.k0 = r.k;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 /// One timed, counter-recorded point solve.
@@ -323,7 +303,6 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
   const std::size_t n = l_values.size();
   std::vector<OptimResult> out(n);
   if (n == 0) return out;
-  exec::ThreadPool& pool = sweep.pool ? *sweep.pool : exec::default_pool();
   const std::size_t chunk = sweep.chunk > 0 ? sweep.chunk : 1;
   // No pool-size shortcut here: a 1-thread pool must take the same
   // chunk-seeded path as any other size, or results would depend on the
@@ -332,6 +311,7 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
     continue_serially(tech, l_values, 0, n, sweep.optim, sweep.counters, out);
     return out;
   }
+  exec::ThreadPool& pool = sweep.pool ? *sweep.pool : exec::default_pool();
 
   // Phase 1 (serial): continuation over the chunk-start points only; each
   // result seeds one chunk and doubles as that point's final answer, so the
@@ -369,50 +349,6 @@ std::vector<OptimResult> optimize_rlc_sweep(const Technology& tech,
       },
       /*grain=*/1);
   return out;
-}
-
-rlc::Status validate_optim_request(double l, const OptimOptions& opts) {
-  if (!std::isfinite(l) || l < 0.0) {
-    return rlc::Status::invalid_argument(
-        "inductance l must be finite and >= 0");
-  }
-  if (!(opts.f > 0.0 && opts.f < 1.0)) {
-    return rlc::Status::invalid_argument("threshold f must be in (0, 1)");
-  }
-  if (opts.max_iterations < 1) {
-    return rlc::Status::invalid_argument("max_iterations must be >= 1");
-  }
-  if (!(opts.residual_tolerance > 0.0)) {
-    return rlc::Status::invalid_argument("residual_tolerance must be > 0");
-  }
-  return rlc::Status::ok();
-}
-
-rlc::StatusOr<OptimResult> try_optimize_rlc(const Technology& tech, double l,
-                                            const OptimOptions& opts) {
-  // Thin wrapper over the unified entry point (optimize_api.hpp): a
-  // delay-objective scalar request dispatches to optimize_rlc above, so the
-  // sizing is bit-identical to what this function always returned.
-  OptimizeRequest req;
-  req.l = l;
-  req.optim = opts;
-  rlc::StatusOr<OptimizeResponse> resp = optimize(tech, req);
-  if (!resp.is_ok()) return resp.status();
-  return resp->sizing;
-}
-
-rlc::StatusOr<std::vector<OptimResult>> try_optimize_rlc_sweep(
-    const Technology& tech, const std::vector<double>& l_values,
-    const SweepOptions& sweep) {
-  for (double l : l_values) {
-    if (rlc::Status s = validate_optim_request(l, sweep.optim); !s.is_ok()) {
-      return s;
-    }
-  }
-  using Out = std::vector<OptimResult>;
-  return internal::at_boundary<Out>([&]() -> rlc::StatusOr<Out> {
-    return optimize_rlc_sweep(tech, l_values, sweep);
-  });
 }
 
 }  // namespace rlc::core

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file status_boundary.hpp
-/// Internal (src-only) helper shared by the checked optimizer entry points:
-/// run a body and convert every escape hatch into a typed Status, per the
+/// Internal (src-only) helper of the checked optimize() entry points: run a
+/// body and convert every escape hatch into a typed Status, per the
 /// boundary rule of DESIGN.md "Errors".  No exception crosses a function
 /// that returns StatusOr.
 

@@ -20,21 +20,20 @@
 ///
 /// The price is per-t node sets: s_j = (decay/2 + i pi j) / t, so a
 /// waveform of K times costs K * (burn_in + terms + 1) transfer
-/// evaluations.  The batch overloads gather ALL nodes of ALL times into a
-/// single span evaluation, so a vectorized evaluator (e.g.
-/// rlc::tline::BatchTransferEvaluator) amortizes its SIMD transcendental
-/// core over the whole waveform in one call; exp(s_j t) itself is free
-/// (e^{decay/2} (-1)^j by construction).
+/// evaluations.  Both overloads take a span-of-nodes evaluator and gather
+/// ALL nodes of ALL times into a single span evaluation, so a vectorized
+/// evaluator (e.g. rlc::tline::BatchTransferEvaluator) amortizes its SIMD
+/// transcendental core over the whole waveform in one call; exp(s_j t)
+/// itself is free (e^{decay/2} (-1)^j by construction).
 ///
 /// Requirements: F analytic for Re(s) > 0, f real-valued and O(1) at the
 /// evaluated times (the wrap-around aliasing term scales with
 /// e^{-decay} * sup|f|).
 
-#include <complex>
 #include <cstddef>
 #include <vector>
 
-#include "rlc/laplace/talbot.hpp"  // LaplaceFnRef / BatchLaplaceFnRef
+#include "rlc/laplace/talbot.hpp"  // BatchLaplaceFnRef
 
 namespace rlc::laplace {
 
@@ -52,15 +51,11 @@ struct EulerOptions {
 int euler_nodes(const EulerOptions& opts);
 
 /// Invert F at a single time t > 0.
-double euler_invert(LaplaceFnRef F, double t, const EulerOptions& opts = {});
 double euler_invert(BatchLaplaceFnRef F, double t,
                     const EulerOptions& opts = {});
 
-/// Invert F at a vector of times.  The BatchLaplaceFnRef overload issues
-/// ONE span evaluation covering every node of every time point.
-std::vector<double> euler_invert(LaplaceFnRef F,
-                                 const std::vector<double>& times,
-                                 const EulerOptions& opts = {});
+/// Invert F at a vector of times with ONE span evaluation covering every
+/// node of every time point.
 std::vector<double> euler_invert(BatchLaplaceFnRef F,
                                  const std::vector<double>& times,
                                  const EulerOptions& opts = {});

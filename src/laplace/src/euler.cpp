@@ -12,8 +12,6 @@ namespace rlc::laplace {
 
 namespace {
 
-using cplx = std::complex<double>;
-
 void validate(double t, const EulerOptions& o) {
   if (!(t > 0.0)) throw std::invalid_argument("euler_invert: t must be > 0");
   if (o.burn_in < 1) {
@@ -91,36 +89,6 @@ std::vector<double> euler_invert(BatchLaplaceFnRef F,
 
 double euler_invert(BatchLaplaceFnRef F, double t, const EulerOptions& opts) {
   return euler_invert(F, std::vector<double>{t}, opts)[0];
-}
-
-namespace {
-
-/// Per-point adapter: lets the LaplaceFnRef overloads share the batch
-/// implementation.
-struct PointAdapter {
-  LaplaceFnRef f;
-  void operator()(const double* s_re, const double* s_im, double* f_re,
-                  double* f_im, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      const cplx v = f(cplx{s_re[i], s_im[i]});
-      f_re[i] = v.real();
-      f_im[i] = v.imag();
-    }
-  }
-};
-
-}  // namespace
-
-double euler_invert(LaplaceFnRef F, double t, const EulerOptions& opts) {
-  const PointAdapter adapter{F};
-  return euler_invert(BatchLaplaceFnRef(adapter), t, opts);
-}
-
-std::vector<double> euler_invert(LaplaceFnRef F,
-                                 const std::vector<double>& times,
-                                 const EulerOptions& opts) {
-  const PointAdapter adapter{F};
-  return euler_invert(BatchLaplaceFnRef(adapter), times, opts);
 }
 
 }  // namespace rlc::laplace

@@ -73,11 +73,9 @@ struct Metric {
 
 /// What the obs layer saw during one scenario run: the registry delta
 /// bracketing the scenario body plus the tracer's span rollup over the
-/// same bracket.  Attribution is exact when scenarios run one at a time
-/// (--serial, --spec, or a single name); under --all concurrency the
-/// registry and tracer are process-wide, so concurrently running
-/// scenarios bleed into each other's deltas — the numbers remain correct
-/// in aggregate, just not per-scenario-exclusive.
+/// same bracket.  The registry and tracer are process-wide, so attribution
+/// is exact because rlc_run runs scenarios one at a time; a caller running
+/// scenarios concurrently would see them bleed into each other's deltas.
 struct Observability {
   obs::MetricsSnapshot metrics;            ///< delta, zero entries dropped
   std::vector<obs::Tracer::SpanStats> spans;  ///< rollup delta by name

@@ -116,9 +116,8 @@ ScenarioResult run_scenario(const Scenario& s, const ScenarioSpec& spec,
   exec::Counters counters;
   ScenarioContext ctx{pool, &counters};
   // Bracket the scenario body with registry/tracer snapshots so the
-  // envelope can attribute activity to this run.  Exact when scenarios run
-  // one at a time; under --all concurrency the deltas include whatever
-  // other scenarios did meanwhile (see Observability doc).
+  // envelope can attribute activity to this run.  Exact because rlc_run
+  // runs scenarios one at a time (see Observability doc).
   const bool tracing = obs::Tracer::enabled();
   const obs::MetricsSnapshot metrics_before = obs::Registry::global().snapshot();
   const std::vector<obs::Tracer::SpanStats> spans_before =

@@ -263,31 +263,33 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
   double geo = 1.0;
   for (const auto& cfg : configs) {
     const auto c = config_for(cfg.node, cfg.l);
+    const auto line = c.tech.line(c.l);
+    const auto dl = c.tech.rep.scaled(c.k);
     ExactOptions legacy = spec.exact_options();
     legacy.legacy_bisection = true;
     const ExactOptions engine = spec.exact_options();
 
     ExactStats legacy_stats, engine_stats;
     const double d_legacy =
-        exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, spec.threshold,
-                              legacy, &legacy_stats)
+        exact_threshold_delay(line, c.h, dl, c.tau, spec.threshold, legacy,
+                              &legacy_stats)
             .value();
     const double d_engine =
-        exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, spec.threshold,
-                              engine, &engine_stats)
+        exact_threshold_delay(line, c.h, dl, c.tau, spec.threshold, engine,
+                              &engine_stats)
             .value();
     const double rel_err = std::abs(d_engine - d_legacy) / d_legacy;
 
     const double s_legacy = time_s(
         [&] {
-          g_sink = exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau,
+          g_sink = exact_threshold_delay(line, c.h, dl, c.tau,
                                          spec.threshold, legacy)
                        .value_or(0.0);
         },
         reps);
     const double s_engine = time_s(
         [&] {
-          g_sink = exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau,
+          g_sink = exact_threshold_delay(line, c.h, dl, c.tau,
                                          spec.threshold, engine)
                        .value_or(0.0);
         },
@@ -407,13 +409,11 @@ ScenarioResult perf_exact(const ScenarioSpec& spec, ScenarioContext& ctx) {
   res.metric("geomean_speedup", geo);
   res.metric("min_eval_ratio", min_eval_ratio);
   res.metric("max_rel_err", max_rel_err);
-  res.metric("speedup_target", 10.0);
   res.metric("rel_err_budget", 1e-3);
   res.note(
       "Accuracy (max_rel_err vs rel_err_budget) is timing-independent and "
-      "CI-checked; the speedup target is advisory under --all where "
-      "concurrent scenarios share the machine.  The cold-kernel table "
-      "isolates the contour-fill hot path: batch_speedup is enforced (>= "
+      "CI-checked; min_speedup is reported, not gated.  The cold-kernel "
+      "table isolates the contour-fill hot path: batch_speedup is enforced (>= "
       "batch_speedup_target on full runs with SIMD active) and "
       "batch_kernel_rel_err pins scalar-vs-batch agreement.");
   return res;

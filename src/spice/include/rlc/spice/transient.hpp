@@ -53,15 +53,6 @@ struct TransientOptions {
   double max_voltage_step = 1.0;
   int max_step_halvings = 12;
 
-  /// Local-truncation-error step control (opt-in).  Uses the Milne device:
-  /// the difference between the trapezoidal corrector and a polynomial
-  /// predictor estimates the O(dt^3) LTE; steps with a normalized error
-  /// above 1 are rejected and the step size follows err^(-1/3), bounded by
-  /// [dt / 2^max_step_halvings, dt] (opts.dt acts as the maximum step).
-  bool adaptive_lte = false;
-  double lte_reltol = 1e-3;
-  double lte_abstol_v = 1e-5;
-
   std::vector<Probe> probes;    ///< empty: record every node voltage
 
   /// Incremental MNA assembly (see the device.hpp file comment): linear

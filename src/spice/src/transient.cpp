@@ -119,9 +119,6 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   int successes_at_reduced_dt = 0;
   long accepted = 0;
   std::vector<double> x_try;
-  // History for the LTE predictor: the two previous accepted solutions.
-  std::vector<double> x_prev1, x_prev2;
-  double dt_prev = opts.dt;
 
   while (t < opts.tstop - 1e-18 * opts.tstop) {
     dt_cur = std::min(dt_cur, opts.tstop - t);
@@ -146,46 +143,14 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       }
       continue;
     }
-    // ---- LTE control (opt-in): compare the trapezoidal corrector with a
-    //      linear predictor through the two previous accepted points; the
-    //      difference scales with the O(dt^3) local truncation error. ----
-    if (opts.adaptive_lte && accepted >= opts.be_startup_steps + 2 &&
-        !x_prev1.empty() && !x_prev2.empty()) {
-      double err = 0.0;
-      const double slope_scale = dt_cur / dt_prev;
-      for (int i = 0; i < n_nodes; ++i) {
-        const double pred =
-            x_prev1[i] + (x_prev1[i] - x_prev2[i]) * slope_scale;
-        const double e = std::abs(x_try[i] - pred) /
-                         (opts.lte_abstol_v +
-                          opts.lte_reltol * std::abs(x_try[i]));
-        err = std::max(err, e);
-      }
-      // The predictor difference is ~3x the trapezoidal LTE; normalize so
-      // err ~ 1 sits at the tolerance.
-      err /= 3.0;
-      if (err > 1.0 && dt_cur > dt_min * (1.0 + 1e-12)) {
-        res.steps_rejected++;
-        dt_cur = std::max(dt_min,
-                          dt_cur * std::clamp(0.9 / std::cbrt(err), 0.2, 0.9));
-        continue;  // re-solve the step with the smaller dt
-      }
-      // Accepted: grow toward the base step when the error allows.
-      const double grow = err > 0.0 ? 0.9 / std::cbrt(err) : 2.0;
-      dt_cur = std::min(opts.dt, dt_cur * std::clamp(grow, 0.5, 2.0));
-    }
-
     // Accept the step.
-    x_prev2 = x_prev1;
-    x_prev1 = x_try;
-    dt_prev = dt_cur;
     x = x_try;
     ctx.x = &x;
     for (const auto& dev : ckt.devices()) dev->commit_step(ctx);
     t = ctx.time;
     ++accepted;
     record(t, x);
-    if (!opts.adaptive_lte && dt_cur < opts.dt) {
+    if (dt_cur < opts.dt) {
       if (++successes_at_reduced_dt >= 2) {
         dt_cur = std::min(2.0 * dt_cur, opts.dt);
         successes_at_reduced_dt = 0;

@@ -16,17 +16,15 @@
 /// across router instances, processes, and runs — pinned by
 /// tests/svc/test_router.cpp.
 ///
-/// submit_batch partitions a batch by shard and runs the per-shard
-/// sub-batches concurrently (each on its own shard's pool), returning
-/// results in input order with the same bit-identical-to-serial guarantee
-/// Session::submit_batch gives.
+/// The router only places and owns the shards: the event loop
+/// (server.hpp) asks shard_of for a request's home and answers it on
+/// shard(i).
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "rlc/base/status.hpp"
 #include "rlc/svc/query.hpp"
 #include "rlc/svc/session.hpp"
 
@@ -63,16 +61,6 @@ class ShardRouter {
 
   Session& shard(std::size_t i) { return *sessions_[i]; }
   const Session& shard(std::size_t i) const { return *sessions_[i]; }
-
-  /// Answer one query on its home shard, on the calling thread.
-  rlc::StatusOr<QueryResult> submit(const QueryRequest& req);
-
-  /// Answer a batch: partition by home shard, run every non-empty shard's
-  /// sub-batch concurrently, reassemble in input order.  Bit-identical to
-  /// routing each request through submit() serially, for any shard count
-  /// and any per-shard thread count.
-  std::vector<rlc::StatusOr<QueryResult>> submit_batch(
-      const std::vector<QueryRequest>& reqs);
 
  private:
   std::vector<std::unique_ptr<Session>> sessions_;

@@ -1,8 +1,5 @@
 #include "rlc/svc/router.hpp"
 
-#include <thread>
-#include <utility>
-
 namespace rlc::svc {
 
 ShardRouter::ShardRouter(const RouterOptions& opts) {
@@ -44,59 +41,6 @@ std::size_t ShardRouter::placement(std::uint64_t key_hash,
 
 std::size_t ShardRouter::shard_of(const QueryRequest& req) const {
   return placement(req.cache_hash(), sessions_.size());
-}
-
-rlc::StatusOr<QueryResult> ShardRouter::submit(const QueryRequest& req) {
-  return sessions_[shard_of(req)]->submit(req);
-}
-
-std::vector<rlc::StatusOr<QueryResult>> ShardRouter::submit_batch(
-    const std::vector<QueryRequest>& reqs) {
-  const std::size_t n = reqs.size();
-  const std::size_t s = sessions_.size();
-  if (n == 0) return {};
-  if (s == 1) return sessions_[0]->submit_batch(reqs);
-
-  // Partition by home shard, remembering where each request came from.
-  std::vector<std::vector<QueryRequest>> parts(s);
-  std::vector<std::vector<std::size_t>> origin(s);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t home = shard_of(reqs[i]);
-    parts[home].push_back(reqs[i]);
-    origin[home].push_back(i);
-  }
-
-  // One helper thread per non-empty shard except the last, which runs on
-  // the calling thread — shards solve their sub-batches concurrently, each
-  // on its own pool.  Per-request determinism makes the reassembly order
-  // independent of which shard finishes first.
-  std::vector<std::vector<rlc::StatusOr<QueryResult>>> shard_out(s);
-  std::vector<std::size_t> active;
-  for (std::size_t j = 0; j < s; ++j) {
-    if (!parts[j].empty()) active.push_back(j);
-  }
-  std::vector<std::thread> helpers;
-  helpers.reserve(active.size() > 0 ? active.size() - 1 : 0);
-  for (std::size_t a = 0; a + 1 < active.size(); ++a) {
-    const std::size_t j = active[a];
-    helpers.emplace_back([this, j, &parts, &shard_out] {
-      shard_out[j] = sessions_[j]->submit_batch(parts[j]);
-    });
-  }
-  if (!active.empty()) {
-    const std::size_t j = active.back();
-    shard_out[j] = sessions_[j]->submit_batch(parts[j]);
-  }
-  for (std::thread& t : helpers) t.join();
-
-  std::vector<rlc::StatusOr<QueryResult>> out(
-      n, rlc::Status::internal("request slot never ran"));
-  for (std::size_t j = 0; j < s; ++j) {
-    for (std::size_t k = 0; k < origin[j].size(); ++k) {
-      out[origin[j][k]] = std::move(shard_out[j][k]);
-    }
-  }
-  return out;
 }
 
 }  // namespace rlc::svc

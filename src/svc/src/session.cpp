@@ -297,7 +297,8 @@ struct Session::Impl {
     eo.window_points = req.talbot_points;
     std::optional<double> exact;
     if (oreq.conductors == 1) {
-      exact = core::exact_threshold_delay(tech, req.l, opt.h, opt.k, opt.tau,
+      exact = core::exact_threshold_delay(tech.line(req.l), opt.h,
+                                          tech.rep.scaled(opt.k), opt.tau,
                                           req.threshold, eo, nullptr);
     } else {
       // Aggressor threshold crossing with quiet neighbours (the coupled
@@ -450,6 +451,9 @@ rlc::StatusOr<scenario::ScenarioResult> Session::run_scenario(
   } catch (const CancelledError& e) {
     reg.add(e.code() == StatusCode::kDeadlineExceeded ? m.deadline_exceeded
                                                       : m.cancelled);
+    return e.to_status();
+  } catch (const NoConvergenceError& e) {
+    reg.add(m.errors);
     return e.to_status();
   } catch (const std::invalid_argument& e) {
     reg.add(m.errors);

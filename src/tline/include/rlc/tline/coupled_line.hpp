@@ -17,8 +17,8 @@
 /// adjacency and d_max = min(n-1, 2).  Both are polynomials in A, so they
 /// commute by construction; edge conductors carry a compensating cc to
 /// ground so every conductor sees the same total capacitance (a shielded
-/// bus).  For n = 2 this is exactly the two-ladder topology of
-/// rlc::ringosc::add_coupled_ladders; n = 1 degenerates to LineParams.
+/// bus).  It is exactly the ladder topology of rlc::ringosc::add_coupled_bus
+/// (the MNA reference); n = 1 degenerates to LineParams.
 
 #include <cstddef>
 #include <vector>

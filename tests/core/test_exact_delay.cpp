@@ -31,7 +31,9 @@ TEST(ExactDelay, AgreesWithTwoPoleAtLowInductance) {
   const auto tech = Technology::nm250();
   const auto rc = rc_optimum(tech);
   const auto est = segment_delay(tech.rep, tech.line(0.0), rc.h, rc.k);
-  const auto ex = exact_threshold_delay(tech, 0.0, rc.h, rc.k, est.tau);
+  const auto ex = exact_threshold_delay(tech.line(0.0), rc.h,
+                                        tech.rep.scaled(rc.k), est.tau, 0.5,
+                                        ExactOptions{});
   ASSERT_TRUE(ex.has_value());
   EXPECT_NEAR(*ex, est.tau, 0.05 * est.tau);
 }
@@ -40,9 +42,12 @@ TEST(ExactDelay, ThresholdMonotoneInF) {
   const auto tech = Technology::nm100();
   const auto rc = rc_optimum(tech);
   const auto est = segment_delay(tech.rep, tech.line(1e-6), rc.h, rc.k);
-  const auto t25 = exact_threshold_delay(tech, 1e-6, rc.h, rc.k, est.tau, 0.25);
-  const auto t50 = exact_threshold_delay(tech, 1e-6, rc.h, rc.k, est.tau, 0.50);
-  const auto t75 = exact_threshold_delay(tech, 1e-6, rc.h, rc.k, est.tau, 0.75);
+  const auto line = tech.line(1e-6);
+  const auto dl = tech.rep.scaled(rc.k);
+  const ExactOptions o;
+  const auto t25 = exact_threshold_delay(line, rc.h, dl, est.tau, 0.25, o);
+  const auto t50 = exact_threshold_delay(line, rc.h, dl, est.tau, 0.50, o);
+  const auto t75 = exact_threshold_delay(line, rc.h, dl, est.tau, 0.75, o);
   ASSERT_TRUE(t25 && t50 && t75);
   EXPECT_LT(*t25, *t50);
   EXPECT_LT(*t50, *t75);
@@ -51,16 +56,18 @@ TEST(ExactDelay, ThresholdMonotoneInF) {
 TEST(ExactDelay, Validation) {
   const auto tech = Technology::nm100();
   const auto rc = rc_optimum(tech);
-  EXPECT_THROW(
-      exact_threshold_delay(tech, 1e-6, rc.h, rc.k, rc.tau, /*f=*/1.5),
-      std::domain_error);
-  EXPECT_THROW(exact_threshold_delay(tech, 1e-6, rc.h, rc.k, /*scale=*/0.0),
+  const auto line = tech.line(1e-6);
+  const auto dl = tech.rep.scaled(rc.k);
+  const ExactOptions o;
+  EXPECT_THROW(exact_threshold_delay(line, rc.h, dl, rc.tau, /*f=*/1.5, o),
+               std::domain_error);
+  EXPECT_THROW(exact_threshold_delay(line, rc.h, dl, /*scale=*/0.0, 0.5, o),
                std::domain_error);
   // Window that misses the crossing (everything already settled at the
   // lower edge): nullopt rather than a bogus root.
-  const auto est = segment_delay(tech.rep, tech.line(1e-6), rc.h, rc.k);
+  const auto est = segment_delay(tech.rep, line, rc.h, rc.k);
   EXPECT_FALSE(
-      exact_threshold_delay(tech, 1e-6, rc.h, rc.k, 1e3 * est.tau).has_value());
+      exact_threshold_delay(line, rc.h, dl, 1e3 * est.tau, 0.5, o).has_value());
 }
 
 // ---- Fast exact-waveform engine vs the legacy per-t reference. ----
@@ -68,6 +75,9 @@ TEST(ExactDelay, Validation) {
 struct EngineCase {
   Technology tech;
   double l = 0.0, h = 0.0, k = 0.0, tau = 0.0;
+
+  tline::LineParams line() const { return tech.line(l); }
+  tline::DriverLoad dl() const { return tech.rep.scaled(k); }
 };
 
 EngineCase engine_case(const Technology& tech, double l) {
@@ -91,8 +101,8 @@ TEST(ExactEngine, MatchesLegacyWithTenfoldFewerTransferEvals) {
       legacy.legacy_bisection = true;
       ExactStats ls, es;
       const auto d_legacy =
-          exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, legacy, &ls);
-      const auto d_engine = exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau,
+          exact_threshold_delay(c.line(), c.h, c.dl(), c.tau, 0.5, legacy, &ls);
+      const auto d_engine = exact_threshold_delay(c.line(), c.h, c.dl(), c.tau,
                                                   0.5, ExactOptions{}, &es);
       ASSERT_TRUE(d_legacy.has_value()) << tech.name << " l = " << l;
       ASSERT_TRUE(d_engine.has_value()) << tech.name << " l = " << l;
@@ -134,7 +144,7 @@ TEST(ExactEngine, LegacyBisectionMatchesTheMemoizedReference) {
   for (const auto& ref : cases) {
     const auto c = engine_case(ref.tech, ref.l);
     const auto d =
-        exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, legacy);
+        exact_threshold_delay(c.line(), c.h, c.dl(), c.tau, 0.5, legacy);
     ASSERT_TRUE(d.has_value()) << ref.tech.name << " l = " << ref.l;
     EXPECT_NEAR(*d, ref.delay, 1e-10 * ref.delay)
         << ref.tech.name << " l = " << ref.l;
@@ -202,17 +212,17 @@ TEST(ExactEngine, NonBracketedReturnsNulloptOnBothPaths) {
   ExactOptions legacy;
   legacy.legacy_bisection = true;
   // Scale so large the response settled long before the search window.
-  EXPECT_FALSE(exact_threshold_delay(c.tech, c.l, c.h, c.k, 1e3 * c.tau, 0.5,
+  EXPECT_FALSE(exact_threshold_delay(c.line(), c.h, c.dl(), 1e3 * c.tau, 0.5,
                                      legacy)
                    .has_value());
-  EXPECT_FALSE(exact_threshold_delay(c.tech, c.l, c.h, c.k, 1e3 * c.tau, 0.5,
+  EXPECT_FALSE(exact_threshold_delay(c.line(), c.h, c.dl(), 1e3 * c.tau, 0.5,
                                      ExactOptions{})
                    .has_value());
   // Scale so small the response has not moved inside the window.
-  EXPECT_FALSE(exact_threshold_delay(c.tech, c.l, c.h, c.k, 1e-3 * c.tau, 0.5,
+  EXPECT_FALSE(exact_threshold_delay(c.line(), c.h, c.dl(), 1e-3 * c.tau, 0.5,
                                      legacy)
                    .has_value());
-  EXPECT_FALSE(exact_threshold_delay(c.tech, c.l, c.h, c.k, 1e-3 * c.tau, 0.5,
+  EXPECT_FALSE(exact_threshold_delay(c.line(), c.h, c.dl(), 1e-3 * c.tau, 0.5,
                                      ExactOptions{})
                    .has_value());
 }
@@ -221,7 +231,7 @@ TEST(ExactEngine, OptionValidation) {
   const auto c = engine_case(Technology::nm100(), 1e-6);
   ExactOptions o;
   o.window_ratio = 1.0;  // threshold descent needs strictly > 1
-  EXPECT_THROW(exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, o),
+  EXPECT_THROW(exact_threshold_delay(c.line(), c.h, c.dl(), c.tau, 0.5, o),
                std::domain_error);
   // ...but exactly 1 is a legal (degenerate, one-time-per-window) sampling
   // window.
@@ -234,11 +244,11 @@ TEST(ExactEngine, OptionValidation) {
                std::domain_error);
   o = ExactOptions{};
   o.grid_points_per_window = 1;
-  EXPECT_THROW(exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, o),
+  EXPECT_THROW(exact_threshold_delay(c.line(), c.h, c.dl(), c.tau, 0.5, o),
                std::domain_error);
   o = ExactOptions{};
   o.window_points = 3;
-  EXPECT_THROW(exact_threshold_delay(c.tech, c.l, c.h, c.k, c.tau, 0.5, o),
+  EXPECT_THROW(exact_threshold_delay(c.line(), c.h, c.dl(), c.tau, 0.5, o),
                std::domain_error);
   EXPECT_THROW(
       exact_step_response_windowed(line, c.h, dl, {-1.0}, ExactOptions{}),

@@ -7,6 +7,9 @@
 namespace rlc::core {
 namespace {
 
+/// The serial warm-start continuation (the sweep's reference path).
+const SweepOptions kSerial{.parallel = false};
+
 TEST(Optimizer, L0OptimumSitsBelowElmoreOptimum) {
   // Section 3.1 / Figure 5: at l = 0 the two-pole 50%-delay optimum gives a
   // slightly shorter segment than the Elmore optimum — an effect the
@@ -103,7 +106,7 @@ TEST(Optimizer, SweepTrendsMatchFigures5And6) {
   const auto tech = Technology::nm100();
   std::vector<double> ls;
   for (int i = 0; i <= 10; ++i) ls.push_back(i * 0.5e-6);
-  const auto rs = optimize_rlc_sweep(tech, ls);
+  const auto rs = optimize_rlc_sweep(tech, ls, kSerial);
   for (std::size_t i = 1; i < rs.size(); ++i) {
     ASSERT_TRUE(rs[i].converged) << i;
     EXPECT_GT(rs[i].h, rs[i - 1].h) << i;
@@ -118,7 +121,7 @@ TEST(Optimizer, SweepNewtonStaysWithinPaperIterationClaim) {
   const auto tech = Technology::nm250();
   std::vector<double> ls;
   for (int i = 0; i <= 50; ++i) ls.push_back(i * 0.1e-6);
-  const auto rs = optimize_rlc_sweep(tech, ls);
+  const auto rs = optimize_rlc_sweep(tech, ls, kSerial);
   for (std::size_t i = 0; i < rs.size(); ++i) {
     ASSERT_TRUE(rs[i].converged);
     EXPECT_EQ(rs[i].method, OptimMethod::kNewton) << "l index " << i;
@@ -137,7 +140,7 @@ TEST(Optimizer, KOptFlattensTowardAsymptote) {
   const auto tech = Technology::nm250();
   std::vector<double> ls;
   for (int i = 1; i <= 10; ++i) ls.push_back(i * 0.5e-6);
-  const auto rs = optimize_rlc_sweep(tech, ls);
+  const auto rs = optimize_rlc_sweep(tech, ls, kSerial);
   for (std::size_t i = 1; i < ls.size(); ++i) {
     ASSERT_TRUE(rs[i].converged);
     const double drop_prev =
@@ -237,7 +240,7 @@ TEST(Optimizer, NewtonDivergenceExercisesNelderMeadFallback) {
   // converge: same optimum to fallback accuracy.
   std::vector<double> ls;
   for (int i = 0; i <= 4; ++i) ls.push_back(i * 0.5e-6);
-  const auto sweep = optimize_rlc_sweep(tech, ls);
+  const auto sweep = optimize_rlc_sweep(tech, ls, kSerial);
   const auto& ref = sweep.back();
   ASSERT_TRUE(ref.converged);
   ASSERT_EQ(ref.method, OptimMethod::kNewton);

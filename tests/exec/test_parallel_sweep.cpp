@@ -47,7 +47,8 @@ void expect_pointwise_match(const std::vector<OptimResult>& ref,
 TEST(ParallelSweep, MatchesSerialOnFigureGridsAtBothNodes) {
   const auto ls = figure_grid();
   for (const auto& tech : {Technology::nm250(), Technology::nm100()}) {
-    const auto serial = optimize_rlc_sweep(tech, ls);  // reference path
+    const auto serial =  // reference path
+        optimize_rlc_sweep(tech, ls, SweepOptions{.parallel = false});
     for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
       rlc::exec::ThreadPool pool(threads);
       SweepOptions sweep;
@@ -135,7 +136,8 @@ TEST(ParallelSweep, CountersSeeEverySolveExactlyOnce) {
 TEST(ParallelSweep, ChunkSizeDoesNotChangeResults) {
   const auto ls = figure_grid();
   const auto tech = Technology::nm100();
-  const auto serial = optimize_rlc_sweep(tech, ls);
+  const auto serial =
+      optimize_rlc_sweep(tech, ls, SweepOptions{.parallel = false});
   for (const std::size_t chunk : {1u, 2u, 5u, 26u, 100u}) {
     rlc::exec::ThreadPool pool(3);
     SweepOptions sweep;

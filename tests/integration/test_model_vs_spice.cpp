@@ -55,8 +55,11 @@ double spice_delay_50(const Technology& tech, double l, double h, double k,
 /// agreement with the legacy per-t bisection is pinned in tests/core, so
 /// the three-stack comparison below also vouches for the engine.
 double exact_delay_50(const Technology& tech, double l, double h, double k) {
-  const auto est = rlc::core::segment_delay(tech.rep, tech.line(l), h, k);
-  return rlc::core::exact_threshold_delay(tech, l, h, k, est.tau).value_or(-1.0);
+  const auto line = tech.line(l);
+  const auto est = rlc::core::segment_delay(tech.rep, line, h, k);
+  return rlc::core::exact_threshold_delay(line, h, tech.rep.scaled(k), est.tau,
+                                          0.5, rlc::core::ExactOptions{})
+      .value_or(-1.0);
 }
 
 // The technology name is a std::string, not a const char*: gtest prints a

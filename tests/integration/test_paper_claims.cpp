@@ -16,6 +16,9 @@ namespace {
 
 using namespace rlc::core;
 
+/// The serial warm-start continuation (the sweep's reference path).
+const SweepOptions kSerial{.parallel = false};
+
 std::vector<double> sweep_l(int n) {
   std::vector<double> ls;
   for (int i = 0; i <= n; ++i) ls.push_back(5e-6 * i / n);
@@ -26,8 +29,8 @@ TEST(PaperClaims, Figure7DelayRatioReachesPaperScale) {
   // 250 nm: ratio to the l=0 optimum reaches ~2x by l = 5 nH/mm;
   // 100 nm: grows much faster, reaching ~3-3.5x.
   const auto ls = sweep_l(10);
-  const auto r250 = optimize_rlc_sweep(Technology::nm250(), ls);
-  const auto r100 = optimize_rlc_sweep(Technology::nm100(), ls);
+  const auto r250 = optimize_rlc_sweep(Technology::nm250(), ls, kSerial);
+  const auto r100 = optimize_rlc_sweep(Technology::nm100(), ls, kSerial);
   ASSERT_TRUE(r250.front().converged && r250.back().converged);
   ASSERT_TRUE(r100.front().converged && r100.back().converged);
   const double ratio250 =
@@ -46,8 +49,9 @@ TEST(PaperClaims, Figure7ArtificialDielectricIsolatesDriverScaling) {
   // more inductance-sensitive: "this increased susceptibility is entirely
   // due to scaling of driver capacitance and output resistance".
   const auto ls = sweep_l(8);
-  const auto rctl = optimize_rlc_sweep(Technology::nm100_with_250nm_dielectric(), ls);
-  const auto r250 = optimize_rlc_sweep(Technology::nm250(), ls);
+  const auto rctl = optimize_rlc_sweep(
+      Technology::nm100_with_250nm_dielectric(), ls, kSerial);
+  const auto r250 = optimize_rlc_sweep(Technology::nm250(), ls, kSerial);
   const double ratio_ctl =
       rctl.back().delay_per_length / rctl.front().delay_per_length;
   const double ratio250 =
@@ -61,7 +65,7 @@ TEST(PaperClaims, Figure8VariationPenaltyScalesWithNode) {
   const auto ls = sweep_l(10);
   const auto penalty = [&](const Technology& tech) {
     const auto rc = rc_optimum(tech);
-    const auto opt = optimize_rlc_sweep(tech, ls);
+    const auto opt = optimize_rlc_sweep(tech, ls, kSerial);
     double worst = 0.0;
     for (std::size_t i = 0; i < ls.size(); ++i) {
       const double fixed =
@@ -83,8 +87,8 @@ TEST(PaperClaims, Figure4LcritCurvesOrderAndGrowth) {
   // l_crit at the RLC optimum grows with l and the 100 nm curve sits below
   // the 250 nm curve everywhere (Figure 4).
   const auto ls = sweep_l(8);
-  const auto r250 = optimize_rlc_sweep(Technology::nm250(), ls);
-  const auto r100 = optimize_rlc_sweep(Technology::nm100(), ls);
+  const auto r250 = optimize_rlc_sweep(Technology::nm250(), ls, kSerial);
+  const auto r100 = optimize_rlc_sweep(Technology::nm100(), ls, kSerial);
   double prev250 = -1.0;
   for (std::size_t i = 0; i < ls.size(); ++i) {
     const double lc250 =
@@ -122,7 +126,7 @@ TEST(PaperClaims, OptimizationIsFast) {
   // "the entire optimization step is extremely efficient" — a full 11-point
   // technology sweep must complete in well under a second.
   const auto t0 = std::chrono::steady_clock::now();
-  const auto rs = optimize_rlc_sweep(Technology::nm100(), sweep_l(10));
+  const auto rs = optimize_rlc_sweep(Technology::nm100(), sweep_l(10), kSerial);
   const auto dt = std::chrono::steady_clock::now() - t0;
   for (const auto& r : rs) ASSERT_TRUE(r.converged);
   EXPECT_LT(std::chrono::duration<double>(dt).count(), 1.0);

@@ -7,11 +7,13 @@
 
 #include "rlc/core/pade.hpp"
 #include "rlc/core/two_pole.hpp"
+#include "support/span_of.hpp"
 
 namespace rlc::laplace {
 namespace {
 
 using cplx = std::complex<double>;
+using rlc::testing::span_of;
 
 TEST(Talbot, StepFunction) {
   // L^-1[1/s] = 1.
@@ -86,20 +88,6 @@ TEST(Talbot, InputValidation) {
 }
 
 // ---- Shared-contour window inversion (TalbotContour). ----
-
-/// Span-of-nodes form of a per-point transform: the shared-contour window
-/// takes only the BatchLaplaceFnRef signature.
-template <typename F>
-auto span_of(F f) {
-  return [f](const double* sr, const double* si, double* fr, double* fi,
-             std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const cplx v = f(cplx{sr[i], si[i]});
-      fr[i] = v.real();
-      fi[i] = v.imag();
-    }
-  };
-}
 
 TEST(TalbotWindow, MatchesPerTInversionAcrossTheWindow) {
   // One contour fixed at t_max must reproduce the per-t inversion for every

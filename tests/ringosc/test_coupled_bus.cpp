@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "rlc/analysis/signal_metrics.hpp"
+#include "rlc/core/delay.hpp"
 #include "rlc/core/elmore.hpp"
 #include "rlc/spice/transient.hpp"
 
@@ -17,30 +23,71 @@ TEST(CoupledBus, StructureAndValidation) {
   const rlc::tline::LineParams line{4400.0, 1e-6, 1.5e-10};
   const CouplingParams cp{5e-11, 0.4};
   const auto bus =
-      add_coupled_ladders(ckt, "b", a1, a2, v1, v2, line, cp, 0.01, 8);
-  EXPECT_EQ(bus.aggressor.resistors.size(), 8u);
-  EXPECT_EQ(bus.victim.resistors.size(), 8u);
+      add_coupled_bus(ckt, "b", {a1, v1}, {a2, v2}, line, cp, 0.01, 8);
+  ASSERT_EQ(bus.size(), 2u);
+  EXPECT_EQ(bus[0].resistors.size(), 8u);
+  EXPECT_EQ(bus[1].resistors.size(), 8u);
 
   const CouplingParams bad_k{0.0, 1.5};
   EXPECT_THROW(
-      add_coupled_ladders(ckt, "x", a1, a2, v1, v2, line, bad_k, 0.01, 4),
+      add_coupled_bus(ckt, "x", {a1, v1}, {a2, v2}, line, bad_k, 0.01, 4),
       std::invalid_argument);
   const rlc::tline::LineParams rc_line{4400.0, 0.0, 1.5e-10};
   const CouplingParams needs_l{0.0, 0.4};
-  EXPECT_THROW(add_coupled_ladders(ckt, "y", a1, a2, v1, v2, rc_line, needs_l,
-                                   0.01, 4),
+  EXPECT_THROW(add_coupled_bus(ckt, "y", {a1, v1}, {a2, v2}, rc_line, needs_l,
+                               0.01, 4),
+               std::invalid_argument);
+  EXPECT_THROW(add_coupled_bus(ckt, "z", {a1, v1}, {a2}, line, cp, 0.01, 4),
                std::invalid_argument);
 }
 
+/// Aggressor (conductor 0) 50% delays for a quiet, in-phase and anti-phase
+/// victim (conductor 1), and the quiet victim's far-end peak noise.
+struct Crosstalk {
+  bool completed = false;
+  double victim_peak_noise = 0.0;  ///< [V] when the victim is quiet
+  double delay_quiet = 0.0;        ///< [s]
+  double delay_inphase = 0.0;
+  double delay_antiphase = 0.0;
+};
+
 class CrosstalkTest : public ::testing::Test {
  protected:
-  static CrosstalkResult run(double cc_frac, double km) {
+  static Crosstalk run(double cc_frac, double km) {
     const auto tech = Technology::nm100();
     const auto rc = rlc::core::rc_optimum(tech);
-    CouplingParams cp;
-    cp.cc = cc_frac * tech.c;
-    cp.km = km;
-    return run_crosstalk(tech, cp, 1e-6, 0.5 * rc.h, 0.5 * rc.k, 10);
+    const CouplingParams cp{cc_frac * tech.c, km};
+    const double l = 1e-6, h = 0.5 * rc.h, k = 0.5 * rc.k;
+    // Time scale from the two-pole model with the quiet-neighbour
+    // capacitance; the window is 12 tau at tau/400 steps.
+    rlc::tline::LineParams line_eff = tech.line(l);
+    line_eff.c += 2.0 * cp.cc;
+    const auto est = rlc::core::segment_delay(tech.rep, line_eff, h, k);
+    const double tau = est.converged ? est.tau : rc.tau;
+    const auto step = [&](const std::vector<double>& initial,
+                          const std::vector<double>& target) {
+      return run_coupled_step(tech, cp, l, h, k, initial, target, 12.0 * tau,
+                              4800, 10);
+    };
+    const auto quiet = step({0.0, 0.0}, {1.0, 0.0});
+    const auto in_phase = step({0.0, 0.0}, {1.0, 1.0});
+    const auto anti = step({0.0, 1.0}, {1.0, 0.0});
+    Crosstalk r;
+    if (!quiet.completed || !in_phase.completed || !anti.completed) return r;
+    const auto delay = [](const CoupledStepResult& s) {
+      return rlc::analysis::first_crossing_after(
+          s.time, s.far_end[0], 0.5, rlc::analysis::Edge::kRising, 0.0);
+    };
+    const auto dq = delay(quiet), di = delay(in_phase), da = delay(anti);
+    if (!dq || !di || !da) return r;
+    r.completed = true;
+    r.delay_quiet = *dq;
+    r.delay_inphase = *di;
+    r.delay_antiphase = *da;
+    for (double v : quiet.far_end[1]) {
+      r.victim_peak_noise = std::max(r.victim_peak_noise, std::abs(v));
+    }
+    return r;
   }
 };
 

@@ -213,67 +213,6 @@ TEST(Transient, StartFromDcOperatingPoint) {
   for (double v : r.signal("v(out)")) EXPECT_NEAR(v, 3.0, 1e-4);
 }
 
-TEST(Transient, AdaptiveLteKeepsAccuracyWithFewerSteps) {
-  // RC step response: with LTE control the solver takes big steps on the
-  // flat tail while matching the analytic curve at the requested tolerance.
-  const auto run = [](bool adaptive) {
-    Circuit c;
-    const auto in = c.node("in"), out = c.node("out");
-    c.add_vsource("V1", in, c.ground(), PwlSpec{{{0.0, 0.0}, {16e-9, 1.0}}});
-    c.add_resistor("R1", in, out, 1e3);
-    c.add_capacitor("C1", out, c.ground(), 1e-9);
-    TransientOptions o;
-    o.tstop = 10e-6;        // 10 time constants: long flat tail
-    o.dt = 8e-9;            // max step
-    o.adaptive_lte = adaptive;
-    o.lte_reltol = 1e-3;
-    return run_transient(c, o);
-  };
-  const auto fixed = run(false);
-  const auto lte = run(true);
-  ASSERT_TRUE(fixed.completed);
-  ASSERT_TRUE(lte.completed);
-  // Accuracy preserved on the adaptive run.
-  const auto& v = lte.signal("v(out)");
-  double emax = 0.0;
-  for (std::size_t i = 0; i < lte.time.size(); ++i) {
-    const double T = 16e-9, tau = 1e-6, tt = lte.time[i];
-    const double a = 1.0 / T;
-    const double exact =
-        tt <= T ? a * (tt - tau * (1.0 - std::exp(-tt / tau)))
-                : 1.0 - (1.0 - a * (T - tau * (1.0 - std::exp(-T / tau)))) *
-                            std::exp(-(tt - T) / tau);
-    emax = std::max(emax, std::abs(v[i] - exact));
-  }
-  EXPECT_LT(emax, 5e-3);
-  // Step counts comparable or better (LTE never exceeds the base dt, so on
-  // this smooth problem it should not take substantially more steps).
-  EXPECT_LE(lte.steps_accepted, fixed.steps_accepted * 1.2);
-}
-
-TEST(Transient, AdaptiveLteRefinesFastEdges) {
-  // A sharp pulse inside a long window: the adaptive run must spend extra
-  // (smaller) steps around the edges — i.e. reject and refine there.
-  Circuit c;
-  const auto in = c.node("in"), out = c.node("out");
-  c.add_vsource("V1", in, c.ground(),
-                PulseSpec{0, 1, 4e-6, 5e-9, 5e-9, 1e-6, 0});
-  c.add_resistor("R1", in, out, 100.0);
-  c.add_capacitor("C1", out, c.ground(), 1e-9);
-  TransientOptions o;
-  o.tstop = 10e-6;
-  o.dt = 50e-9;
-  o.adaptive_lte = true;
-  o.lte_reltol = 1e-3;
-  const auto r = run_transient(c, o);
-  ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.steps_rejected, 0);  // the edge forced refinement
-  // The fast edge is resolved: output reaches the rail inside the pulse.
-  double vmax = 0.0;
-  for (double v : r.signal("v(out)")) vmax = std::max(vmax, v);
-  EXPECT_GT(vmax, 0.99);
-}
-
 TEST(Transient, OptionValidation) {
   Circuit c;
   const auto n = c.node("n");

@@ -483,5 +483,30 @@ TEST(Session, RunScenarioHonorsRegistryAndDeadline) {
   EXPECT_FALSE(r->tables.empty());
 }
 
+TEST(Session, RunScenarioMapsNumericFailureToNoConvergence) {
+  // A scenario body whose numerics fail (rlc::NoConvergenceError) is a
+  // typed no_convergence at the boundary, never internal.
+  Session session(SessionOptions{1, 0});  // registers the real scenarios
+  const std::string name = "test_session_no_convergence";
+  auto& reg = scenario::ScenarioRegistry::global();
+  if (reg.find(name) == nullptr) {
+    scenario::Scenario sc;
+    sc.name = name;
+    sc.title = "always fails to converge";
+    sc.group = "extension";
+    sc.fn = [](const scenario::ScenarioSpec&, scenario::ScenarioContext&)
+        -> scenario::ScenarioResult {
+      throw NoConvergenceError("root solve failed");
+    };
+    reg.add(std::move(sc));
+  }
+  const auto r = session.run_scenario(reg.find(name)->defaults);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNoConvergence)
+      << r.status().to_string();
+  EXPECT_NE(r.status().message().find("root solve failed"), std::string::npos)
+      << r.status().to_string();
+}
+
 }  // namespace
 }  // namespace rlc::svc

@@ -34,7 +34,7 @@ TEST(CoupledLine, TwoConductorMatricesMatchLadderTopology) {
   const double cc = 0.3 * kBase.c;
   const double km = 0.4;
   CoupledLine line = symmetric_bus(kBase, cc, km, 2);
-  // C_ii = c + cc, C_ij = -cc — exactly add_coupled_ladders' junction caps.
+  // C_ii = c + cc, C_ij = -cc — exactly add_coupled_bus' junction caps.
   EXPECT_DOUBLE_EQ(line.capacitance(0, 0), kBase.c + cc);
   EXPECT_DOUBLE_EQ(line.capacitance(1, 1), kBase.c + cc);
   EXPECT_DOUBLE_EQ(line.capacitance(0, 1), -cc);
